@@ -5,15 +5,17 @@ comparable formats ... so that keys can be compared by simply using memory
 compare operations".  The v2 data-block format makes the reproduction
 actually do that: binary-search probes, batched lookups, and K-way merges
 compare raw sort-key slices and decode an ``IndexEntry`` only for entries
-they emit.  ``use_raw_keys=False`` restores the legacy decode-per-probe
-path, so this ablation reports entry-decodes-per-lookup and wall time for
-both, plus the decode count of the blob-level merge (which must be zero).
+they emit.  This ablation reports entry-decodes-per-lookup on the raw-key
+path, plus the decode count of the blob-level merge (which must be zero).
+The decode-per-probe arm it once compared against is retired with the
+search path it measured; its numbers stay in the committed
+``BENCH_ablation_a8.json``.
 """
 
 import heapq
 
 from repro.bench.fixtures import build_single_run, entries_for_keys
-from repro.bench.harness import ExperimentResult, Series, measure_wall_s
+from repro.bench.harness import ExperimentResult, Series
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
@@ -29,51 +31,24 @@ BATCH = 300
 MERGE_RUN_SIZE = 5_000
 
 
-def _measure_lookup_path(run, hierarchy, batch, use_raw_keys):
-    definition = run.definition
-    executor = QueryExecutor(
-        definition, lambda: [run], use_raw_keys=use_raw_keys
-    )
-    decode = hierarchy.stats.decode
-
-    def op():
-        run.drop_decode_cache()
-        return executor.batch_lookup(batch)
-
-    # Decode accounting on a cold decode cache (one clean pass) ...
-    run.drop_decode_cache()
-    before = decode.snapshot()
-    results = executor.batch_lookup(batch)
-    delta = decode.diff(before)
-    # ... then wall time over repeated passes.
-    elapsed = measure_wall_s(op, repeat=2)
-    return results, delta, elapsed
-
-
 def test_ablation_zero_decode(benchmark, reporter):
     definition = i1_definition()
     mapper = KeyMapper(definition)
     run, hierarchy = build_single_run(definition, RUN_SIZE, mapper)
     batch = QueryBatchGenerator(mapper, RUN_SIZE, seed=29).random_batch(BATCH)
+    executor = QueryExecutor(definition, lambda: [run])
+    decode = hierarchy.stats.decode
 
-    legacy_results, legacy_delta, legacy_s = _measure_lookup_path(
-        run, hierarchy, batch, use_raw_keys=False
-    )
-    raw_results, raw_delta, raw_s = _measure_lookup_path(
-        run, hierarchy, batch, use_raw_keys=True
-    )
-
-    # Same answers on both paths.
-    summarize = lambda entries: [
-        None if e is None else (e.equality_values, e.begin_ts) for e in entries
-    ]
-    assert summarize(raw_results) == summarize(legacy_results)
+    # Decode accounting on a cold decode cache (one clean pass).
+    run.drop_decode_cache()
+    before = decode.snapshot()
+    raw_results = executor.batch_lookup(batch)
+    raw_delta = decode.diff(before)
 
     hits = sum(1 for e in raw_results if e is not None)
     # Duplicate keys in the random batch emit the same (memoized) entry,
     # so the decode floor is the number of *distinct* emitted entries.
     distinct_hits = len({e.rid for e in raw_results if e is not None})
-    legacy_dpl = legacy_delta.entry_decodes / BATCH
     raw_dpl = raw_delta.entry_decodes / BATCH
 
     # The acceptance bar: the raw path decodes only the entries it emits.
@@ -83,42 +58,27 @@ def test_ablation_zero_decode(benchmark, reporter):
         f"{distinct_hits} distinct hits; probes must be zero-decode"
     )
     assert raw_delta.raw_key_probes > 0
-    # The legacy path decodes every probed entry -- strictly more than one
-    # decode per lookup once binary-search probes are counted.
-    assert legacy_delta.entry_decodes > BATCH
 
-    series = [
-        Series("legacy decode-per-probe", [
-            ("decodes/lookup", legacy_dpl),
-            ("time (normalized)", 1.0),
-        ]),
-        Series("raw memcmp slices", [
-            ("decodes/lookup", raw_dpl),
-            ("time (normalized)", raw_s / legacy_s),
-        ]),
-    ]
     result = ExperimentResult(
         figure="Ablation A8",
-        title="Zero-decode raw-key probes vs legacy decode path",
+        title="Zero-decode raw-key probes",
         x_label="metric",
-        y_label="value (time normalized to legacy path)",
-        series=series,
+        y_label="value",
+        series=[
+            Series("raw memcmp slices", [
+                ("decodes/lookup", raw_dpl),
+                ("raw key probes/lookup", raw_delta.raw_key_probes / BATCH),
+            ]),
+        ],
         notes=(
             f"single {RUN_SIZE}-entry run, {BATCH} random point lookups; "
-            f"legacy={legacy_delta.entry_decodes} decodes "
-            f"({legacy_dpl:.1f}/lookup), raw={raw_delta.entry_decodes} "
+            f"raw={raw_delta.entry_decodes} decodes "
             f"({raw_dpl:.2f}/lookup, = emitted hits)"
         ),
     )
     reporter(result)
 
-    # No wall-clock gate: the deterministic decode counters above already
-    # prove the zero-decode property, and 2-repeat timings of a 300-lookup
-    # batch jitter too much on a loaded machine to assert on (the reported
-    # normalized time typically lands around 0.35x).
-
-    benchmark(lambda: (run.drop_decode_cache(),
-                       QueryExecutor(definition, lambda: [run]).batch_lookup(batch)))
+    benchmark(lambda: (run.drop_decode_cache(), executor.batch_lookup(batch)))
 
 
 def test_merge_path_is_zero_decode(reporter):

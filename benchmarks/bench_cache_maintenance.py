@@ -1,22 +1,21 @@
-"""Ablation A10: maintenance-aware cache admission (`maintenance_read_mode`).
+"""Ablation A10: maintenance-aware cache admission.
 
-The scan-thrash scenario ROADMAP flagged after PR 2: streaming evolve reads
-entire (purged) groomed runs through the normal hierarchy path.  Under the
-legacy promote-everything policy those one-pass maintenance reads flood a
-bounded SSD cache with blocks no query will touch again, so the query path
-can no longer admit its own hot blocks and every lookup falls through to
-shared storage.  With ``maintenance_read_mode="intent"`` (the default),
-maintenance reads carry ``ReadIntent.MAINTENANCE`` and are never promoted:
-the query working set warms once and then hits the cache.
+The scan-thrash scenario: streaming evolve reads entire (purged) groomed
+runs through the normal hierarchy path.  Were those one-pass maintenance
+reads promoted, they would flood a bounded SSD cache with blocks no query
+will touch again, so the query path could no longer admit its own hot
+blocks and every lookup would fall through to shared storage.
+Maintenance reads carry ``ReadIntent.MAINTENANCE`` and are never
+promoted: the query working set warms once and then hits the cache.
 
 The experiment pins the cache level to -1 (everything purged, Figure-14
 style), interleaves two streaming evolves with rounds of hot point lookups
-over the most recent runs, and compares the query-path cache hit rate and
-the per-intent promotion counters between the two modes.
+over the most recent runs, and reports the query-path cache hit rate and
+the per-intent promotion counters.  (The promote-everything arm this
+ablation once compared against is retired with the mode that selected
+it; its numbers stay in the committed ``BENCH_cache_maintenance.json``.)
 
-Acceptance (ISSUE 3): the query-path hit rate under concurrent evolve is
-strictly higher with the intent mode than with the legacy mode, and
-maintenance reads register **zero** SSD promotions in the intent mode.
+Acceptance: maintenance reads register **zero** SSD promotions.
 
 Set ``UMZI_BENCH_SMOKE=1`` for the CI-sized fixture.
 """
@@ -42,7 +41,7 @@ QUERY_ROUNDS = 6 if _SMOKE else 10
 DEF = i1_definition()
 
 
-def _build_index(name, mode):
+def _build_index(name):
     levels = LevelConfig(
         groomed_levels=3, post_groomed_levels=2,
         max_runs_per_level=4, size_ratio=4,
@@ -53,7 +52,6 @@ def _build_index(name, mode):
             name=name,
             levels=levels,
             data_block_bytes=2048,
-            maintenance_read_mode=mode,
             # Query-driven caching: blocks a query promotes from purged
             # runs stay resident (the cache the evolve must not displace).
             release_purged_blocks_after_query=False,
@@ -94,12 +92,12 @@ def _hot_keys():
     return list(range(lo, hi, step))[:HOT_KEYS]
 
 
-def _run_mode(mode):
-    index, mapper = _build_index(f"cache-maint-{mode}", mode)
+def _run():
+    index, mapper = _build_index("cache-maint-intent")
 
     # Bound the SSD at half a wide groomed run: comfortably larger than the
-    # hot query working set, but small enough that legacy maintenance
-    # promotions exhaust it before the queries can admit anything.
+    # hot query working set, but small enough that promoted maintenance
+    # reads would exhaust it before the queries could admit anything.
     wide_runs = [
         run for run in index.run_lists[Zone.GROOMED].snapshot()
         if run.level == 1
@@ -129,8 +127,8 @@ def _run_mode(mode):
     start = time.perf_counter()
     # Both evolves cover only a prefix of the first wide run's 0..3 span,
     # so the run is never fully under the watermark and never collected --
-    # the sustained-churn case where the blocks a legacy evolve promoted
-    # are not cleaned up by garbage collection either.
+    # the sustained-churn case where promoted evolve blocks would not be
+    # cleaned up by garbage collection either.
     index.evolve_streaming(1, _rid_mapper(1, 2 * ENTRIES_PER_RUN), 0, 1)
     for round_no in range(QUERY_ROUNDS):
         query_round()
@@ -146,7 +144,6 @@ def _run_mode(mode):
     query_delta = stats.intents[ReadIntent.QUERY].diff(query_before)
     maint_delta = stats.intents[ReadIntent.MAINTENANCE].diff(maint_before)
     return {
-        "mode": mode,
         "query_hit_rate": query_delta.local_hit_rate(),
         "query_reads": query_delta.reads,
         "query_promotions": query_delta.promotions,
@@ -159,27 +156,14 @@ def _run_mode(mode):
 
 
 def test_cache_hit_rate_under_concurrent_evolve(reporter):
-    intent = _run_mode("intent")
-    legacy = _run_mode("legacy")
+    intent = _run()
 
-    # Both modes streamed the maintenance workload.  (Counts differ:
-    # legacy memoizes stream views exactly like the pre-intent code, so
-    # its second evolve re-reads nothing.)
     assert intent["maintenance_reads"] > 0
-    assert legacy["maintenance_reads"] > 0
 
-    # Acceptance: maintenance reads register zero SSD promotions with the
-    # intent-aware mode; the legacy mode floods the cache.
+    # Acceptance: maintenance reads register zero SSD promotions.
     assert intent["maintenance_promotions"] == 0, (
-        f"intent mode promoted {intent['maintenance_promotions']} "
-        "maintenance blocks; maintenance reads must bypass admission"
-    )
-    assert legacy["maintenance_promotions"] > 0
-
-    # Acceptance: the query path keeps its cache under maintenance churn.
-    assert intent["query_hit_rate"] > legacy["query_hit_rate"], (
-        f"query hit rate {intent['query_hit_rate']:.3f} (intent) must beat "
-        f"{legacy['query_hit_rate']:.3f} (legacy)"
+        f"promoted {intent['maintenance_promotions']} maintenance blocks; "
+        "maintenance reads must bypass admission"
     )
 
     result = ExperimentResult(
@@ -188,15 +172,10 @@ def test_cache_hit_rate_under_concurrent_evolve(reporter):
         x_label="metric",
         y_label="value",
         series=[
-            Series("intent-aware (maintenance_read_mode=intent)", [
+            Series("intent-aware admission", [
                 ("query hit rate", intent["query_hit_rate"]),
                 ("maintenance promotions", float(intent["maintenance_promotions"])),
                 ("query promotions", float(intent["query_promotions"])),
-            ]),
-            Series("legacy (promote everything)", [
-                ("query hit rate", legacy["query_hit_rate"]),
-                ("maintenance promotions", float(legacy["maintenance_promotions"])),
-                ("query promotions", float(legacy["query_promotions"])),
             ]),
         ],
         notes=(
@@ -208,18 +187,12 @@ def test_cache_hit_rate_under_concurrent_evolve(reporter):
         ),
         metrics={
             "query_hit_rate_intent": intent["query_hit_rate"],
-            "query_hit_rate_legacy": legacy["query_hit_rate"],
             "maintenance_promotions_intent": float(
                 intent["maintenance_promotions"]
             ),
-            "maintenance_promotions_legacy": float(
-                legacy["maintenance_promotions"]
-            ),
             "maintenance_reads_intent": float(intent["maintenance_reads"]),
-            "maintenance_reads_legacy": float(legacy["maintenance_reads"]),
             "query_reads_per_mode": float(intent["query_reads"]),
             "wall_s_intent": intent["wall_s"],
-            "wall_s_legacy": legacy["wall_s"],
         },
     )
     reporter(result, "cache_maintenance")

@@ -74,10 +74,10 @@ class CacheManager:
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         # pin_checker(run_id) -> is some live query snapshot still holding
-        # the run?  Supplied by the run lifecycle (in versionset mode a
-        # run counts as pinned when any query-reffed RunListVersion
-        # contains it; the current version's implicit reference does not
-        # count, or nothing could ever be evicted).  Eviction paths
+        # the run?  Supplied by the run lifecycle (a run counts as pinned
+        # when any query-reffed RunListVersion contains it; the current
+        # version's implicit reference does not count, or nothing could
+        # ever be evicted).  Eviction paths
         # (purge_run, release_after_query) skip pinned runs so a block is
         # never dropped out from under an in-flight iterator.
         self._pin_checker = (
@@ -118,11 +118,10 @@ class CacheManager:
 
         Non-persisted runs cannot be purged (the local copy is the only
         copy); they return 0.  So do runs pinned by a live query snapshot
-        -- in versionset mode, runs reachable from any query-reffed
-        version: evicting mid-read would stall the query on
-        shared-storage refetches (and invalidate the decoded views it is
-        iterating), so the purge pass simply revisits the run on a later
-        cycle.
+        -- runs reachable from any query-reffed version: evicting mid-read
+        would stall the query on shared-storage refetches (and invalidate
+        the decoded views it is iterating), so the purge pass simply
+        revisits the run on a later cycle.
         """
         if not run.header.persisted:
             return 0

@@ -9,38 +9,21 @@ data blocks are freed from shared storage and every local tier.  A query
 that snapshotted the lists a microsecond earlier still holds handles to
 those runs and will fault (``BlockNotFoundError``) when it reaches them.
 
-This module closes that race with deferred reclamation in one of three
-modes (``RunLifecycle(mode=...)``):
+This module closes that race with the LevelDB/RocksDB version-set design.
+Every run-list publication builds one immutable :class:`RunListVersion`
+node carrying a refcount and a link to its predecessor; a query pins the
+*current* node with a single Ref and releases it with a single Unref --
+**O(1) per query, independent of run count** (the countable invariant:
+exactly two refcount operations per query, ``EpochStats.version_refs``
++ ``version_unrefs``).  Retirement walks the live-version chain and
+physically frees a run only once no live version contains it; an
+obsolete version dies (``versions_reclaimed``) when its last reader
+unrefs it, unblocking the runs only it still covered.
 
-* ``"versionset"`` (default) -- the LevelDB/RocksDB version-set design.
-  Every run-list publication builds one immutable :class:`RunListVersion`
-  node carrying a refcount and a link to its predecessor; a query pins the
-  *current* node with a single Ref and releases it with a single Unref --
-  **O(1) per query, independent of run count** (the countable invariant:
-  exactly two refcount operations per query, ``EpochStats.version_refs``
-  + ``version_unrefs``).  Retirement walks the live-version chain and
-  physically frees a run only once no live version contains it; an
-  obsolete version dies (``versions_reclaimed``) when its last reader
-  unrefs it, unblocking the runs only it still covered.
-* ``"epoch"`` -- the PR 4 design, kept as an ablation: the pin ledger is a
-  per-run refcount (exact, strictly stronger than version granularity),
-  but every pin entry/exit takes the lifecycle mutex and walks the whole
-  snapshot -- O(runs) refcount updates per query, counted by
-  ``EpochStats.run_ref_ops``.
-* ``"legacy"`` -- the unprotected pre-lifecycle behaviour: retirement
-  reclaims immediately, and an (unprotected) in-flight query counter
-  records how often that freed storage under a live query
-  (``EpochStats.reclaimed_while_pinned`` -- the hazard rate
-  ``benchmarks/bench_concurrent_throughput.py`` quantifies).
-
-Publication order makes every protected mode sound: a run is always
-unlinked from its lists (one atomic tuple publication) *before* it is
-retired, so a pin either captured the run before the retire check
-(deferral) or can no longer see it at all.  Ad-hoc collectors that return
-a plain run sequence rather than the index's composed version (the
-post-groomer's zone-restricted lookup, unit-test stubs) fall back to the
-per-run ledger even in versionset mode -- their snapshot is not a
-published version, so it cannot be covered by the version chain.
+Publication order makes this sound: a run is always unlinked from its
+lists (one atomic tuple publication) *before* it is retired, so a pin
+either captured the run before the retire check (deferral) or can no
+longer see it at all.
 """
 
 from __future__ import annotations
@@ -49,12 +32,10 @@ import gc
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.core.run import IndexRun
 from repro.storage.metrics import EpochStats
-
-RUN_LIFECYCLE_MODES = ("versionset", "epoch", "legacy")
 
 # Cyclic-GC detection for finalizer-safe releases.  The collector can run
 # at any allocation -- including one made while the current thread holds a
@@ -103,7 +84,7 @@ class RunListVersion:
 
 
 class _VersionNode:
-    """One live entry of the version chain (versionset mode only).
+    """One live entry of the version chain.
 
     Wraps the immutable :class:`RunListVersion` with the mutable lifecycle
     state the reclamation walk needs: the refcount (one implicit ref while
@@ -118,42 +99,29 @@ class _VersionNode:
 
     __slots__ = ("version", "runs", "run_ids", "refs", "seq")
 
-    def __init__(
-        self,
-        version: Optional[RunListVersion],
-        runs: Tuple[IndexRun, ...],
-        seq: int,
-    ) -> None:
+    def __init__(self, version: RunListVersion, seq: int) -> None:
         self.version = version
-        self.runs = runs
-        self.run_ids = frozenset(run.run_id for run in runs)
+        self.runs = tuple(version.candidates())
+        self.run_ids = frozenset(run.run_id for run in self.runs)
         self.refs = 1  # the implicit "current version" reference
         self.seq = seq
 
 
 class QueryPin:
-    """A query's membership in an epoch: holds one pinned run snapshot.
+    """A query's pin: one Ref on a version node of the chain.
 
-    In versionset mode the pin holds a :class:`_VersionNode` reference
-    (one Ref); in epoch mode it holds per-run refcounts.  Released exactly
-    once, by :meth:`RunLifecycle.release` (normally from the query
-    executor's ``finally``); ``__del__`` is a backstop so a pin captured
-    by a generator that is created but never iterated still exits its
-    epoch when the generator is garbage-collected.
+    Released exactly once, by :meth:`RunLifecycle.release` (normally from
+    the query executor's ``finally``); ``__del__`` is a backstop so a pin
+    captured by a generator that is created but never iterated still
+    drops its Ref when the generator is garbage-collected.
     """
 
     __slots__ = ("version", "runs", "_lifecycle", "_node", "_released",
                  "__weakref__")
 
-    def __init__(
-        self,
-        lifecycle: "RunLifecycle",
-        version: Optional[RunListVersion],
-        runs: Tuple[IndexRun, ...],
-        node: Optional[_VersionNode] = None,
-    ) -> None:
-        self.version = version
-        self.runs = runs
+    def __init__(self, lifecycle: "RunLifecycle", node: _VersionNode) -> None:
+        self.version = node.version
+        self.runs = node.runs
         self._lifecycle = lifecycle
         self._node = node
         self._released = False
@@ -191,17 +159,15 @@ class _RetiredRun:
 class RunLifecycle:
     """Pin/retire/reclaim coordinator for one index instance.
 
-    * Queries call :meth:`pin` with a collector callback.  In versionset
-      mode, when the collector is the one registered via
-      :meth:`attach_collector` (the index's composed-version collector),
-      the pin is a single Ref on the current version node -- O(1); other
-      collectors run under the lifecycle mutex on the per-run ledger so
-      the snapshot they take and the pin registration stay one atomic
-      step with respect to :meth:`retire`.
+    * The owner registers its composed-version collector once, via
+      :meth:`attach_collector`; every publication marks the current
+      version node dirty and the next pin or retire rebuilds it.
+    * Queries call :meth:`pin`: a single Ref on the current version node
+      -- O(1).
     * Maintenance calls :meth:`retire` *after* atomically unlinking the run
       from its list; the reclaim action executes immediately when no live
-      version (and no per-run pin) covers the run, and is parked
-      otherwise, draining when the covering version dies.
+      version covers the run, and is parked otherwise, draining when the
+      covering version dies.
     * The cache manager consults :meth:`is_pinned` before evicting.
 
     All counters land on the shared :class:`EpochStats` ledger
@@ -210,13 +176,7 @@ class RunLifecycle:
     query" the same way they assert I/O costs.
     """
 
-    def __init__(self, stats: EpochStats, mode: str = "versionset") -> None:
-        if mode not in RUN_LIFECYCLE_MODES:
-            raise ValueError(
-                f"run_lifecycle must be one of {RUN_LIFECYCLE_MODES}; "
-                f"got {mode!r}"
-            )
-        self.mode = mode
+    def __init__(self, stats: EpochStats) -> None:
         self.stats = stats
         self._lock = threading.Lock()
         # Owner thread of `_lock`, for finalizer re-entrancy detection: a
@@ -227,20 +187,17 @@ class RunLifecycle:
         # (see `_pending_releases`).
         self._owner: Optional[int] = None
         self._version_seq = 0
-        # run_id -> number of live pins whose snapshot contains the run
-        # (epoch mode; versionset fallback for ad-hoc collectors).
-        self._pin_counts: Dict[str, int] = {}
-        # Versionset mode: the registered composed-version collector, the
-        # current version node, and the live chain (oldest -> newest; a
-        # node is live while it is current or some query still refs it).
+        # The registered composed-version collector, the current version
+        # node, and the live chain (oldest -> newest; a node is live while
+        # it is current or some query still refs it).
         self._collector: Optional[Callable[[], RunListVersion]] = None
         self._current: Optional[_VersionNode] = None
         self._versions: List[_VersionNode] = []
-        # Publications not yet folded into a current-node rebuild
-        # (ISSUE 9): note_publish only bumps this dirty count; the next
-        # pin/retire that needs the current node rebuilds once, so a
-        # merge storm's N eager rebuilds collapse to one
-        # (EpochStats.versions_coalesced counts the N-1 saved).
+        # Publications not yet folded into a current-node rebuild:
+        # note_publish only bumps this dirty count; the next pin/retire
+        # that needs the current node rebuilds once, so a merge storm's N
+        # eager rebuilds collapse to one (EpochStats.versions_coalesced
+        # counts the N-1 saved).
         self._unbuilt_publishes = 0
         self._retired: List[_RetiredRun] = []
         # Releases parked by a finalizer (cyclic GC, or re-entering this
@@ -250,9 +207,6 @@ class RunLifecycle:
         self._pending_releases: List[
             Tuple[QueryPin, Optional[Callable[[], None]]]
         ] = []
-        # Legacy mode: deliberately unprotected in-flight query counter --
-        # just enough bookkeeping to *measure* the hazard, none to stop it.
-        self._inflight = 0
 
     @contextmanager
     def _locked(self) -> Iterator[None]:
@@ -276,33 +230,32 @@ class RunLifecycle:
     def attach_collector(
         self, collect: Callable[[], RunListVersion]
     ) -> None:
-        """Register the index's composed-version collector (versionset).
+        """Register the owner's composed-version collector.
 
         The collector composes the published run-list tuples plus the
         watermark into one :class:`RunListVersion` (see
         :meth:`repro.core.index.UmziIndex._collect_version`).  It is
-        invoked under the lifecycle mutex at every publication to rebuild
-        the current version node, so it must not take locks -- the run
-        lists' ``snapshot()``/``published()`` reads are lock-free by
-        design.  Pins whose ``collect`` argument equals the registered
-        collector take the O(1) version-Ref path.
+        invoked under the lifecycle mutex to rebuild the current version
+        node, so it must not take locks -- the run lists'
+        ``snapshot()``/``published()`` reads are lock-free by design.
+        Must be called before the first :meth:`pin`.
         """
         self._collector = collect
 
     def note_publish(self) -> int:
         """Record one atomic run-list publication; returns the sequence.
 
-        In versionset mode a publication only marks the current version
-        node **dirty** (ISSUE 9): the O(runs) rebuild of the candidate
-        tuple + run-id set is deferred to the first pin/retire that
-        actually needs the current node (``_current_node_locked``'s
-        seq-mismatch check).  A merge storm's N back-to-back publications
-        therefore cost one rebuild instead of N; the N-1 folded
-        publications are counted in ``EpochStats.versions_coalesced``.
-        Queries never observe staleness -- every pin refreshes through
-        ``_current_node_locked`` -- and a stale current node between
-        publications only makes ``is_pinned``/``_covered_locked`` err on
-        the safe side (runs look covered slightly longer).
+        A publication only marks the current version node **dirty**: the
+        O(runs) rebuild of the candidate tuple + run-id set is deferred to
+        the first pin/retire that actually needs the current node
+        (``_current_node_locked``'s seq-mismatch check).  A merge storm's
+        N back-to-back publications therefore cost one rebuild instead of
+        N; the N-1 folded publications are counted in
+        ``EpochStats.versions_coalesced``.  Queries never observe
+        staleness -- every pin refreshes through ``_current_node_locked``
+        -- and a stale current node between publications only makes
+        ``is_pinned``/``_covered_locked`` err on the safe side (runs look
+        covered slightly longer).
 
         Deliberately **no** reclaim actions, parked releases, or release
         hooks execute here: ``note_publish`` is invoked from
@@ -317,10 +270,9 @@ class RunLifecycle:
         with self._locked():
             self._version_seq += 1
             self.stats.versions_published += 1
-            seq = self._version_seq
-            if self.mode == "versionset" and self._collector is not None:
+            if self._collector is not None:
                 self._unbuilt_publishes += 1
-        return seq
+            return self._version_seq
 
     def _rebuild_current_locked(self) -> _VersionNode:
         """Install a fresh current version node from the collector.
@@ -332,13 +284,7 @@ class RunLifecycle:
         if self._unbuilt_publishes > 1:
             self.stats.versions_coalesced += self._unbuilt_publishes - 1
         self._unbuilt_publishes = 0
-        version = self._collector()
-        runs: Tuple[IndexRun, ...]
-        if isinstance(version, RunListVersion):
-            runs = tuple(version.candidates())
-        else:  # a collector may return a bare sequence (tests)
-            version, runs = None, tuple(version)
-        node = _VersionNode(version, runs, self._version_seq)
+        node = _VersionNode(self._collector(), self._version_seq)
         self._versions.append(node)
         old, self._current = self._current, node
         if old is not None:
@@ -367,71 +313,32 @@ class RunLifecycle:
 
     # -- the query side ----------------------------------------------------------
 
-    def pin(
-        self,
-        collect: Callable[[], Union[RunListVersion, Sequence[IndexRun]]],
-    ) -> QueryPin:
-        """Enter an epoch: snapshot via ``collect`` and pin every run in it.
+    def pin(self) -> QueryPin:
+        """Pin the current version: one Ref, no per-run loop.
 
-        ``collect`` may return a :class:`RunListVersion` (the index facade
-        does) or a plain newest-first run sequence (ad-hoc executors).
-
-        In versionset mode, when ``collect`` is the registered collector,
-        the pin never calls it: the current version node -- rebuilt at the
-        last publication from the very same collector -- *is* the
-        snapshot, and pinning is one refcount increment under the mutex
-        (``EpochStats.version_refs``), with no per-run loop.  Ad-hoc
-        collectors (whose snapshot is not a published version and so
-        cannot ride the version chain) fall back to the per-run ledger.
-        In epoch mode every pin walks the snapshot on the per-run ledger
-        -- O(runs) updates, counted by ``EpochStats.run_ref_ops``.
-        Either way, snapshot + registration are atomic against
-        :meth:`retire`.
+        The pin never calls the collector itself: the current version
+        node -- rebuilt from the collector at the first consumer after the
+        last publication -- *is* the snapshot, and pinning is one refcount
+        increment under the mutex (``EpochStats.version_refs``).  Snapshot
+        + registration are atomic against :meth:`retire`.
         """
-        if self.mode == "legacy":
-            self._inflight += 1  # unprotected on purpose (the ablation)
-            self.stats.pins_entered += 1
-            return QueryPin(self, *self._unpack(collect()))
-        use_version = (
-            self.mode == "versionset"
-            and self._collector is not None
-            and collect == self._collector
-        )
         with self._locked():
             hooks = self._drain_pending_locked()
-            if use_version:
-                node = self._current_node_locked()
-                node.refs += 1
-                self.stats.version_refs += 1
-                pin = QueryPin(self, node.version, node.runs, node=node)
-            else:
-                version, runs = self._unpack(collect())
-                for run in runs:
-                    self._pin_counts[run.run_id] = (
-                        self._pin_counts.get(run.run_id, 0) + 1
-                    )
-                self.stats.run_ref_ops += len(runs)
-                pin = QueryPin(self, version, runs)
+            node = self._current_node_locked()
+            node.refs += 1
+            self.stats.version_refs += 1
             self.stats.pins_entered += 1
             ready = self._drain_locked()
         self._run_hooks(hooks)
         self._reclaim(ready)
-        return pin
-
-    @staticmethod
-    def _unpack(
-        collected: Union[RunListVersion, Sequence[IndexRun]],
-    ) -> Tuple[Optional[RunListVersion], Tuple[IndexRun, ...]]:
-        if isinstance(collected, RunListVersion):
-            return collected, tuple(collected.candidates())
-        return None, tuple(collected)
+        return QueryPin(self, node)
 
     def release(
         self,
         pin: QueryPin,
         after: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Exit the pin's epoch; drain any reclamations it was blocking.
+        """Drop the pin's Ref; drain any reclamations it was blocking.
 
         ``after`` runs once the pin no longer counts (the query executor's
         purged-block release hook) -- outside the lifecycle mutex.
@@ -448,18 +355,9 @@ class RunLifecycle:
         if pin._released:
             return
         pin._released = True
-        if self.mode == "legacy":
-            # The unprotected ablation: no lock, no parking (matches the
-            # pre-epoch behaviour it exists to measure).
-            self._inflight -= 1
-            self.stats.pins_exited += 1
-            if after is not None:
-                after()
-            return
         if _in_gc_finalizer() or self._owner == threading.get_ident():
             self._pending_releases.append((pin, after))
             return
-        ready: List[_RetiredRun] = []
         with self._locked():
             hooks = self._drain_pending_locked()
             self._release_pin_locked(pin)
@@ -470,24 +368,14 @@ class RunLifecycle:
             after()
 
     def _release_pin_locked(self, pin: QueryPin) -> None:
+        # A single Unref.  A superseded version whose last reader just
+        # left dies here, even when the Unrefs arrive out of publication
+        # order (a long-lived scan may outlive many newer versions).
         node = pin._node
-        if node is not None:
-            # Versionset: a single Unref.  A superseded version whose last
-            # reader just left dies here, even when the Unrefs arrive out
-            # of publication order (a long-lived scan may outlive many
-            # newer versions).
-            node.refs -= 1
-            self.stats.version_unrefs += 1
-            if node.refs == 0 and node is not self._current:
-                self._kill_node_locked(node)
-        else:
-            for run in pin.runs:
-                count = self._pin_counts.get(run.run_id, 0) - 1
-                if count > 0:
-                    self._pin_counts[run.run_id] = count
-                else:
-                    self._pin_counts.pop(run.run_id, None)
-            self.stats.run_ref_ops += len(pin.runs)
+        node.refs -= 1
+        self.stats.version_unrefs += 1
+        if node.refs == 0 and node is not self._current:
+            self._kill_node_locked(node)
         self.stats.pins_exited += 1
 
     def _drain_pending_locked(self) -> List[Callable[[], None]]:
@@ -515,24 +403,15 @@ class RunLifecycle:
         """Hand an unlinked run's free action to the lifecycle.
 
         Must be called only *after* the run has been atomically removed
-        from every published run list (so no new pin can acquire it; in
-        versionset mode the removal's publication already rebuilt the
-        current node without it).  Reclaims inline when no live version
-        or per-run pin covers the run; parks behind them otherwise.
+        from every published run list (so no new pin can acquire it: the
+        removal's publication marked the current node dirty, and the
+        refresh below rebuilds it without the run).  Reclaims inline when
+        no live version covers the run; parks behind them otherwise.
         """
-        if self.mode == "legacy":
-            # The pre-epoch behaviour: free immediately, queries be damned.
-            self.stats.runs_retired += 1
-            if self._inflight > 0:
-                self.stats.reclaimed_while_pinned += 1
-            reclaim()
-            self.stats.runs_reclaimed += 1
-            return
         inline = False
-        ready: List[_RetiredRun] = []
         with self._locked():
             hooks = self._drain_pending_locked()
-            if self.mode == "versionset" and self._collector is not None:
+            if self._collector is not None:
                 # Maintenance-side refresh: make sure the current node
                 # reflects the unlink that preceded this retire (O(runs),
                 # but on the maintenance thread, never under a query pin).
@@ -555,23 +434,19 @@ class RunLifecycle:
             self.stats.runs_reclaimed += 1
 
     def _covered_locked(self, run_id: str) -> bool:
-        """Is the run reachable from any live version or per-run pin?
+        """Is the run reachable from any live version?
 
         The versionset reclamation rule: walk the live-version chain (the
-        current node plus every superseded node some query still refs)
-        and the per-run ledger; a retired run stays parked while either
-        covers it.  In epoch mode only the per-run ledger exists.
+        current node plus every superseded node some query still refs); a
+        retired run stays parked while any of them covers it.
         """
-        if self._pin_counts.get(run_id, 0) > 0:
-            return True
-        if self.mode == "versionset":
-            for node in self._versions:
-                if run_id in node.run_ids:
-                    return True
+        for node in self._versions:
+            if run_id in node.run_ids:
+                return True
         return False
 
     def _drain_locked(self) -> List[_RetiredRun]:
-        """Pop every retired run no live version or pin covers anymore."""
+        """Pop every retired run no live version covers anymore."""
         if not self._retired:
             return []
         ready = [
@@ -598,22 +473,16 @@ class RunLifecycle:
         """Is the run referenced by any live *query* pin right now?
 
         Used by cache eviction: a run is protected while some in-flight
-        query may still read its blocks.  In versionset mode the current
-        node's implicit reference does **not** count -- every live run is
-        in the current version, and eviction of unread runs must stay
-        possible -- only versions a query actually refs protect their
-        runs.  In legacy mode always ``False``: nothing tracks pins,
-        which is precisely the ablation's hazard.
+        query may still read its blocks.  The current node's implicit
+        reference does **not** count -- every live run is in the current
+        version, and eviction of unread runs must stay possible -- only
+        versions a query actually refs protect their runs.
         """
-        if self.mode == "legacy":
-            return False
         with self._locked():
             # No pending-drain here: this runs inside cache eviction
             # passes, which must not execute drained release hooks.  A
             # parked (not yet drained) release just keeps the run looking
             # pinned a little longer -- the safe direction.
-            if self._pin_counts.get(run_id, 0) > 0:
-                return True
             for node in self._versions:
                 if self._query_refs_locked(node) > 0 and run_id in node.run_ids:
                     return True
@@ -626,7 +495,7 @@ class RunLifecycle:
     def pinned_run_ids(self) -> List[str]:
         with self._locked():
             hooks = self._drain_pending_locked()
-            ids = set(self._pin_counts)
+            ids = set()
             for node in self._versions:
                 if self._query_refs_locked(node) > 0:
                     ids.update(node.run_ids)
@@ -635,7 +504,7 @@ class RunLifecycle:
         return ids
 
     def live_version_count(self) -> int:
-        """Live version-chain length (versionset; 0 before first publish).
+        """Live version-chain length (0 before the first pin or retire).
 
         Bounded by 1 (the current node) + the number of distinct older
         versions still pinned by in-flight queries -- the whole point of
@@ -646,7 +515,6 @@ class RunLifecycle:
 
     def retired_backlog(self) -> int:
         """Retired-but-not-yet-reclaimed run count (0 when idle)."""
-        ready: List[_RetiredRun] = []
         with self._locked():
             # Parked finalizer releases may have just unblocked reclaims;
             # apply them so the reported backlog reflects live pins only.
@@ -695,7 +563,6 @@ def drop_cache_action(hierarchy, run: IndexRun) -> Callable[[], None]:
 
 __all__ = [
     "QueryPin",
-    "RUN_LIFECYCLE_MODES",
     "RunLifecycle",
     "RunListVersion",
     "delete_namespace_action",

@@ -97,11 +97,9 @@ class EvolveController:
 
     Evolve is maintenance: the streaming path reads every covered groomed
     run end to end exactly once, so those block fetches carry
-    ``ReadIntent.MAINTENANCE`` -- under the default maintenance-aware cache
-    policy they are served from whatever tier holds them but are never
-    promoted into the SSD cache and never evict query-hot blocks of a
-    purged level (``maintenance_read_mode="legacy"`` on the hierarchy
-    restores the old promote-everything behaviour for ablations).
+    ``ReadIntent.MAINTENANCE`` -- they are served from whatever tier holds
+    them but are never promoted into the SSD cache and never evict
+    query-hot blocks of a purged level.
     """
 
     def __init__(
@@ -130,8 +128,8 @@ class EvolveController:
             ancestor_protector if ancestor_protector is not None else lambda _: False
         )
         # reclaimer(run_id, free) routes physical frees of unlinked runs
-        # through the run lifecycle (protected modes defer them while queries
-        # pin the run); the default executes immediately (legacy).
+        # through the run lifecycle (which defers them while queries pin
+        # the run); without one, frees execute immediately.
         self._reclaim = (
             reclaimer if reclaimer is not None else lambda _run_id, free: free()
         )
@@ -189,7 +187,7 @@ class EvolveController:
         """Zero-decode evolve: splice new RIDs into raw groomed entry blobs.
 
         Instead of materializing an :class:`IndexEntry` per migrated record
-        (the legacy ``evolve`` path), this streams ``(sort_key, blob)``
+        (the rebuild ``evolve`` path), this streams ``(sort_key, blob)``
         pairs straight off the covered groomed runs' data blocks.  A
         record's key columns and ``beginTS`` do not change when it moves to
         the post-groomed zone -- only its RID does -- so the migration is a

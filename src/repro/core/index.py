@@ -80,9 +80,6 @@ class UmziConfig:
     reconcile: ReconcileStrategy = ReconcileStrategy.PRIORITY_QUEUE
     use_synopsis: bool = True
     use_offset_array: bool = True
-    # Ablation hook: False restores the legacy decode-per-probe run search
-    # (see benchmarks/bench_ablation_zero_decode.py).
-    use_raw_keys: bool = True
     # Extension beyond the paper: per-key (instead of batch-granularity)
     # synopsis pruning for batched lookups.  See QueryExecutor.
     per_key_batch_pruning: bool = False
@@ -92,22 +89,6 @@ class UmziConfig:
     cache_high_watermark: float = 0.85
     cache_low_watermark: float = 0.60
     release_purged_blocks_after_query: bool = True
-    # Maintenance-aware cache admission: "intent" (default) means
-    # MAINTENANCE-intent reads (evolve streams, merges, recovery
-    # validation) never promote blocks into the SSD cache; "legacy" is the
-    # promote-everything ablation baseline.  Applied only when the index
-    # constructs its own hierarchy -- an externally supplied hierarchy
-    # keeps its owner's policy (e.g. ShardConfig.maintenance_read_mode).
-    # See storage.metrics.ReadIntent.
-    maintenance_read_mode: str = "intent"
-    # Run lifecycle under concurrent maintenance: "versionset" (default)
-    # refcounts immutable RunListVersions LevelDB/RocksDB-style -- one
-    # Ref/Unref per query, O(1) regardless of run count -- and defers
-    # physical reclamation of retired runs until no live version contains
-    # them; "epoch" is the per-run-refcount ablation (same safety, O(runs)
-    # pin cost); "legacy" is the unprotected ablation (retired runs are
-    # freed inline, racing in-flight queries).  See repro.core.epoch.
-    run_lifecycle: str = "versionset"
 
 
 class UmziIndex:
@@ -121,25 +102,14 @@ class UmziIndex:
     ) -> None:
         self.definition = definition
         self.config = config if config is not None else UmziConfig()
-        if hierarchy is None:
-            self.hierarchy = StorageHierarchy(
-                maintenance_read_mode=self.config.maintenance_read_mode
-            )
-        else:
-            # An externally supplied hierarchy may serve several indexes
-            # (one per shard); cache-admission policy belongs to its owner
-            # (e.g. ShardConfig.maintenance_read_mode via WildfireShard),
-            # so a per-index config must not stomp it.
-            self.hierarchy = hierarchy
+        self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
 
         self._run_prefix = f"{self.config.name}-run"
         self.allocator = RunIdAllocator(prefix=self._run_prefix)
         # Version-set run lifecycle: queries pin immutable run-list
         # versions; maintenance retires unlinked runs through it so frees
         # defer until no live version holds them (see repro.core.epoch).
-        self.lifecycle = RunLifecycle(
-            self.hierarchy.stats.epochs, mode=self.config.run_lifecycle
-        )
+        self.lifecycle = RunLifecycle(self.hierarchy.stats.epochs)
         self.run_lists: Dict[Zone, RunList] = {
             Zone.GROOMED: RunList(
                 f"{self.config.name}-groomed",
@@ -151,10 +121,10 @@ class UmziIndex:
             ),
         }
         self.watermark = Watermark()
-        # Registered AFTER the run lists exist: every publication rebuilds
-        # the lifecycle's current version node through this collector, and
-        # pins arriving through it (executor queries, snapshot_view) take
-        # the O(1) version-Ref path in versionset mode.
+        # Registered AFTER the run lists exist: the lifecycle rebuilds its
+        # current version node through this collector, and every pin
+        # (executor queries, snapshot_view, post_groomed_lookup) is one
+        # Ref on that node.
         self.lifecycle.attach_collector(self._collect_version)
         self.journal = MetadataJournal(
             self.hierarchy, namespace=f"{self.config.name}-meta"
@@ -202,10 +172,8 @@ class UmziIndex:
         )
         self.executor = QueryExecutor(
             definition,
-            collect_runs=self._collect_version,
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
             on_query_done=(
                 self.cache.release_after_query
@@ -458,16 +426,18 @@ class UmziIndex:
         whose lifetime is not lexical (e.g. the cluster's degraded-read
         mode keeps a pin open for as long as a storage brownout lasts).
         """
-        pin = self.lifecycle.pin(self._collect_version)
-        executor = QueryExecutor(
+        pin = self.lifecycle.pin()
+        return SnapshotPin(pin, self._pinned_executor(pin.runs))
+
+    def _pinned_executor(self, runs: Sequence[IndexRun]) -> QueryExecutor:
+        """An unpinned executor over runs the caller already holds pinned."""
+        return QueryExecutor(
             self.definition,
-            collect_runs=lambda: list(pin.runs),
+            collect_runs=lambda: list(runs),
             use_synopsis=self.config.use_synopsis,
             use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
             per_key_batch_pruning=self.config.per_key_batch_pruning,
         )
-        return SnapshotPin(pin, executor)
 
     @contextmanager
     def snapshot_view(self) -> Iterator[QueryExecutor]:
@@ -499,21 +469,19 @@ class UmziIndex:
         caller is background maintenance, so the whole lookup runs under a
         ``ReadIntent.MAINTENANCE`` scope: blocks it pulls from purged
         post-groomed levels are not admitted into the SSD cache.
+
+        The lookup races concurrent merges of the post-groomed zone like
+        any query does, so it takes the ordinary version pin -- one Ref,
+        one Unref -- and searches only that version's post-groomed runs.
         """
-        executor = QueryExecutor(
-            self.definition,
-            collect_runs=self.run_lists[Zone.POST_GROOMED].snapshot,
-            use_synopsis=self.config.use_synopsis,
-            use_offset_array=self.config.use_offset_array,
-            use_raw_keys=self.config.use_raw_keys,
-            # The post-groomer's lookup races concurrent merges of the
-            # post-groomed zone like any query does; pin its snapshot too.
-            lifecycle=self.lifecycle,
-        )
-        with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
-            return executor.point_lookup(
-                PointLookup(tuple(equality_values), tuple(sort_values), query_ts)
-            )
+        with self.lifecycle.pin() as pin:
+            executor = self._pinned_executor(pin.version.post_groomed)
+            with self.hierarchy.reading_as(ReadIntent.MAINTENANCE):
+                return executor.point_lookup(
+                    PointLookup(
+                        tuple(equality_values), tuple(sort_values), query_ts
+                    )
+                )
 
     def all_runs(self) -> List[IndexRun]:
         """Every run in both lists (no watermark filtering); newest first."""

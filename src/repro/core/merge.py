@@ -185,8 +185,8 @@ class MergeController:
             retention_provider if retention_provider is not None else lambda: None
         )
         # reclaimer(run_id, free) routes physical frees of unlinked runs
-        # through the run lifecycle (protected modes defer them while queries
-        # pin the run); the default executes immediately (legacy).
+        # through the run lifecycle (which defers them while queries pin
+        # the run); without one, frees execute immediately.
         self._reclaim = (
             reclaimer if reclaimer is not None else lambda _run_id, free: free()
         )

@@ -204,29 +204,27 @@ class QueryExecutor:
     then neither promotes nor perturbs the query-path hit/miss counters.
 
     **Run pinning.**  When a ``lifecycle`` (:class:`RunLifecycle`) is
-    supplied, every query pins its run snapshot before collecting and
-    releases it in a ``finally`` once the last result is out: the
-    snapshot is *pinned*, so concurrent evolve/merge retirement defers
-    the physical frees of any run the query still holds.  In versionset
-    mode (the default) a pin whose collector is the index's registered
-    version collector is a single Ref on the current
-    :class:`RunListVersion` node and the release a single Unref --
-    exactly two refcount operations per query, independent of run count
-    (``EpochStats.version_refs``/``version_unrefs``); epoch mode walks
-    the snapshot on a per-run ledger instead (O(runs),
-    ``EpochStats.run_ref_ops``).  The pin is released *before*
-    ``on_query_done`` fires, so the cache manager's release pass sees only
-    pins held by *other* in-flight queries.  Without a lifecycle the
-    executor behaves exactly as before (the legacy unprotected mode).
+    supplied, it replaces ``collect_runs``: every query pins the
+    lifecycle's current :class:`RunListVersion` and searches its
+    candidates, releasing the pin in a ``finally`` once the last result
+    is out, so concurrent evolve/merge retirement defers the physical
+    frees of any run the query still holds.  The pin is a single Ref and
+    the release a single Unref -- exactly two refcount operations per
+    query, independent of run count
+    (``EpochStats.version_refs``/``version_unrefs``).  The pin is
+    released *before* ``on_query_done`` fires, so the cache manager's
+    release pass sees only pins held by *other* in-flight queries.
+    Without a lifecycle the executor searches whatever ``collect_runs``
+    returns, unpinned (executors over an already-pinned snapshot, and
+    single-run benchmarks).
     """
 
     def __init__(
         self,
         definition: IndexDefinition,
-        collect_runs: Callable[[], List[IndexRun]],
+        collect_runs: Optional[Callable[[], List[IndexRun]]] = None,
         use_synopsis: bool = True,
         use_offset_array: bool = True,
-        use_raw_keys: bool = True,
         per_key_batch_pruning: bool = False,
         on_query_done: Optional[Callable[[List[IndexRun]], None]] = None,
         lifecycle: Optional[RunLifecycle] = None,
@@ -236,9 +234,6 @@ class QueryExecutor:
         self._lifecycle = lifecycle
         self.use_synopsis = use_synopsis
         self.use_offset_array = use_offset_array
-        # Ablation hook: False restores the legacy decode-per-probe run
-        # search (see benchmarks/bench_ablation_zero_decode.py).
-        self.use_raw_keys = use_raw_keys
         # Paper-faithful batched lookups prune runs against the *batch's*
         # value bounding box (that granularity is what makes random batches
         # degrade linearly with run count in Figure 10b).  Per-key pruning
@@ -255,7 +250,7 @@ class QueryExecutor:
         """Collect the run snapshot, pinning it when a lifecycle is wired."""
         if self._lifecycle is None:
             return None, self.collect_runs()
-        pin = self._lifecycle.pin(self.collect_runs)
+        pin = self._lifecycle.pin()
         return pin, list(pin.runs)
 
     def _exit_query(
@@ -327,7 +322,6 @@ class QueryExecutor:
                 query_ts,
                 bounds.hash_value,
                 self.use_offset_array,
-                self.use_raw_keys,
             ):
                 key = user_key_of_sort_key(sort_key)
                 begin_ts = begin_ts_of_sort_key(sort_key)
@@ -395,7 +389,6 @@ class QueryExecutor:
                 query_ts,
                 bounds.hash_value,
                 self.use_offset_array,
-                self.use_raw_keys,
             ):
                 yield sort_key, recency, entry
 
@@ -438,7 +431,6 @@ class QueryExecutor:
                     lookup.query_ts,
                     bounds.hash_value,
                     self.use_offset_array,
-                    self.use_raw_keys,
                 ):
                     return entry
             return None
@@ -593,13 +585,13 @@ class QueryExecutor:
         if len(unique_ts) == 1:
             return batch_lookup_in_run(
                 run, batch, unique_ts.pop(), self.use_offset_array,
-                self.use_raw_keys, use_bloom=False,
+                use_bloom=False,
             )
         results: List[Optional[IndexEntry]] = []
         for (key, hash_value), ts in zip(batch, batch_ts):
             single = batch_lookup_in_run(
                 run, [(key, hash_value)], ts, self.use_offset_array,
-                self.use_raw_keys, use_bloom=False,
+                use_bloom=False,
             )
             results.append(single[0])
         return results

@@ -17,17 +17,15 @@ what shared storage holds:
 4. groomed runs wholly below the watermark are already covered by the
    post-groomed zone and are dropped too.
 
-Payload validation is zero-decode on the clean path: header v3 records a
-per-block checksum, so re-validating a run is one CRC pass over raw bytes
-per block.  Runs written by older builders (no checksum) fall back to
-decoding every entry -- the wholesale-decode cost this format revision
-removes.
+Payload validation is zero-decode: header v3 records a per-block
+checksum, so re-validating a run is one CRC pass over raw bytes per block.
+A block with no recorded checksum, or whose payload is not a v2 data
+block, fails validation like any other corrupt block.
 """
 
 from __future__ import annotations
 
 import struct
-
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,10 +34,10 @@ from repro.core.entry import Zone
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.core.run import (
     HEADER_ORDINAL,
-    DataBlockView,
     IndexRun,
     RunHeader,
     block_checksum,
+    is_data_block,
 )
 from repro.storage.block import BlockId
 from repro.storage.hierarchy import StorageHierarchy
@@ -73,16 +71,13 @@ def _is_complete(hierarchy: StorageHierarchy, header: RunHeader) -> bool:
     return True
 
 
-def _payloads_valid(
-    definition: IndexDefinition, hierarchy: StorageHierarchy, header: RunHeader
-) -> bool:
+def _payloads_valid(hierarchy: StorageHierarchy, header: RunHeader) -> bool:
     """Re-validate every data block of one run against its header.
 
-    Checksummed blocks (header v3) are verified by one CRC pass over the
-    raw payload -- zero entry decodes.  Blocks without a checksum (runs
-    written by older builders) fall back to fully decoding each entry,
-    charged to ``maintenance_entry_decodes``.  Either way a mismatch means
-    the run is dropped; its data is covered by other runs or rebuilt from
+    Each block is verified by one CRC pass over the raw payload against
+    the header's checksum -- zero entry decodes.  A block with no recorded
+    checksum, or without the v2 block magic, fails.  A failure means the
+    run is dropped; its data is covered by other runs or rebuilt from
     groomed blocks upstream.
     """
     stats = hierarchy.stats.decode
@@ -96,21 +91,12 @@ def _payloads_valid(
         )
         if block is None or len(block.payload) != meta.size_bytes:
             return False
-        if meta.checksum is not None:
-            stats.checksum_validations += 1
-            if block_checksum(block.payload) != meta.checksum:
-                return False
-            continue
-        # Decode fallback: structural validation only (pre-checksum runs
-        # cannot detect a flipped byte inside a value payload).
-        try:
-            view = DataBlockView(definition, block.payload, stats=stats)
-            if view.count != meta.entry_count:
-                return False
-            view.all_entries()
-            stats.maintenance_entry_decodes += view.count
-        except (ValueError, KeyError, IndexError, OverflowError,
-                UnicodeDecodeError, struct.error):
+        if meta.checksum is None:
+            return False
+        stats.checksum_validations += 1
+        if block_checksum(block.payload) != meta.checksum:
+            return False
+        if not is_data_block(block.payload):
             return False
     return True
 
@@ -221,7 +207,7 @@ def recover_index_state(
             hierarchy.delete_namespace(namespace)
             incomplete.append(namespace)
             continue
-        if not _payloads_valid(definition, hierarchy, header):
+        if not _payloads_valid(hierarchy, header):
             hierarchy.delete_namespace(namespace)
             incomplete.append(namespace)
             corrupt.append(namespace)

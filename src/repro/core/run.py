@@ -13,28 +13,17 @@ A run is one header block plus one or more fixed-size data blocks:
 * each **data block** is a count-prefixed sequence of serialized entries
   in sort-key order.
 
-Data blocks come in two formats:
-
-* **v1** (legacy): ``count:u32 | entry offsets:u32[count] | entry bytes``.
-  Probing a key requires decoding the entry at the offset and re-encoding
-  its sort key -- the object-materialization cost the paper's
-  memcmp-comparable key format (section 4.2) was designed to avoid.
-* **v2** (current): ``"UMB2" | count:u32 | entry offsets:u32[count] |
-  sort-key lengths:u32[count] | entry bytes``.  Because every entry blob
-  *starts with* its sort key and the offset table also records each
-  entry's sort-key length, :class:`DataBlockView` serves
-  ``sort_key_at(i)`` / ``key_bytes_at(i)`` / ``begin_ts_at(i)`` as raw
-  slices of the payload -- binary-search probes, batched lookups, and
-  K-way merges compare memory directly and decode an :class:`IndexEntry`
-  only for entries actually emitted.  The beginTS is the fixed 8-byte
-  descending-encoded suffix of the sort key, so visibility checks are a
-  slice plus one integer subtraction.
-
-The two formats are distinguished by the leading 4 bytes: the v2 magic
-``UMB2`` decodes as an entry count of ~1.4 billion, far beyond what any
-block can hold, so v1 blocks (which start with their real count) can never
-be misread as v2.  v1 blocks remain fully readable; their raw-key accessors
-fall back to decode + re-encode.
+A data block (format v2) is ``"UMB2" | count:u32 | entry offsets:u32[count]
+| sort-key lengths:u32[count] | entry bytes``.  Because every entry blob
+*starts with* its sort key and the offset table also records each entry's
+sort-key length, :class:`DataBlockView` serves ``sort_key_at(i)`` /
+``key_bytes_at(i)`` / ``begin_ts_at(i)`` as raw slices of the payload --
+binary-search probes, batched lookups, and K-way merges compare memory
+directly (the memcmp-comparable key format of section 4.2) and decode an
+:class:`IndexEntry` only for entries actually emitted.  The beginTS is the
+fixed 8-byte descending-encoded suffix of the sort key, so visibility
+checks are a slice plus one integer subtraction.  A payload without the
+``UMB2`` magic is rejected (``ValueError``).
 
 Everything is serialized to plain ``bytes`` so runs round-trip through the
 storage hierarchy like any other block.
@@ -74,6 +63,11 @@ _MAGIC = b"UMZI"
 _VERSION = 3
 _SUPPORTED_VERSIONS = (1, 2, 3)
 _BLOCK_MAGIC_V2 = b"UMB2"
+
+
+def is_data_block(payload: bytes) -> bool:
+    """Does the payload carry the (v2) data-block magic?"""
+    return payload[:4] == _BLOCK_MAGIC_V2
 
 
 def block_checksum(payload: bytes) -> int:
@@ -413,46 +407,22 @@ def encode_data_block(
     )
 
 
-def encode_data_block_v1(
-    definition: IndexDefinition, entries: Sequence[IndexEntry]
-) -> bytes:
-    """Serialize one *legacy* v1 data block (compatibility tests only).
-
-    Layout: ``count | per-entry offsets | entry bytes`` -- no sort-key
-    length table, so raw-key accessors on v1 blocks must decode.
-    """
-    blobs = [entry.to_bytes(definition) for entry in entries]
-    offsets: List[int] = []
-    position = 0
-    for blob in blobs:
-        offsets.append(position)
-        position += len(blob)
-    parts = [struct.pack(">I", len(entries))]
-    if offsets:
-        parts.append(struct.pack(f">{len(offsets)}I", *offsets))
-    parts.extend(blobs)
-    return b"".join(parts)
-
-
 class DataBlockView:
-    """Lazy, memoizing view over one encoded data block (v1 or v2).
+    """Lazy, memoizing view over one encoded v2 data block.
 
-    On v2 payloads the raw-key accessors (:meth:`sort_key_at`,
-    :meth:`key_bytes_at`, :meth:`begin_ts_at`, :meth:`entry_blob_at`) are
-    pure payload slices -- no column decoding, no object construction.  On
-    legacy v1 payloads they fall back to decoding the entry and re-encoding
-    its sort key (memoized), preserving readability of old blocks.
+    The raw-key accessors (:meth:`sort_key_at`, :meth:`key_bytes_at`,
+    :meth:`begin_ts_at`, :meth:`entry_blob_at`) are pure payload slices --
+    no column decoding, no object construction.  Raises ``ValueError`` on
+    a payload that does not start with the v2 magic.
     """
 
     __slots__ = (
         "definition",
         "payload",
-        "version",
         "_offsets",
         "_sklens",
         "_base",
         "_cache",
-        "_sort_key_cache",
         "_stats",
         "count",
     )
@@ -466,24 +436,15 @@ class DataBlockView:
         self.definition = definition
         self.payload = payload
         self._stats = stats
-        if payload[:4] == _BLOCK_MAGIC_V2:
-            self.version = 2
-            (self.count,) = struct.unpack_from(">I", payload, 4)
-            self._offsets = struct.unpack_from(f">{self.count}I", payload, 8)
-            self._sklens = struct.unpack_from(
-                f">{self.count}I", payload, 8 + 4 * self.count
-            )
-            self._base = 8 + 8 * self.count
-        else:
-            self.version = 1
-            (self.count,) = struct.unpack_from(">I", payload, 0)
-            self._offsets = struct.unpack_from(f">{self.count}I", payload, 4)
-            self._sklens = None
-            self._base = 4 + 4 * self.count
-        self._cache: Dict[int, IndexEntry] = {}
-        self._sort_key_cache: Optional[Dict[int, bytes]] = (
-            None if self._sklens is not None else {}
+        if payload[:4] != _BLOCK_MAGIC_V2:
+            raise ValueError("data block lacks the v2 magic")
+        (self.count,) = struct.unpack_from(">I", payload, 4)
+        self._offsets = struct.unpack_from(f">{self.count}I", payload, 8)
+        self._sklens = struct.unpack_from(
+            f">{self.count}I", payload, 8 + 4 * self.count
         )
+        self._base = 8 + 8 * self.count
+        self._cache: Dict[int, IndexEntry] = {}
 
     def entry(self, index: int) -> IndexEntry:
         cached = self._cache.get(index)
@@ -500,27 +461,18 @@ class DataBlockView:
     # -- zero-decode accessors --------------------------------------------------
 
     def sort_key_at(self, index: int) -> bytes:
-        """Raw sort key of entry ``index`` -- a payload slice on v2."""
-        if self._sklens is not None:
-            if self._stats is not None:
-                self._stats.raw_key_probes += 1
-            start = self._base + self._offsets[index]
-            return self.payload[start : start + self._sklens[index]]
-        # v1 fallback: decode once, memoize the re-encoded key.
-        cached = self._sort_key_cache.get(index)
-        if cached is None:
-            cached = self.entry(index).sort_key(self.definition)
-            self._sort_key_cache[index] = cached
-        return cached
+        """Raw sort key of entry ``index`` -- a payload slice."""
+        if self._stats is not None:
+            self._stats.raw_key_probes += 1
+        start = self._base + self._offsets[index]
+        return self.payload[start : start + self._sklens[index]]
 
     def key_bytes_at(self, index: int) -> bytes:
         """Raw user key (sort key minus the 8-byte beginTS suffix)."""
-        if self._sklens is not None:
-            if self._stats is not None:
-                self._stats.raw_key_probes += 1
-            start = self._base + self._offsets[index]
-            return self.payload[start : start + self._sklens[index] - SORT_KEY_TS_BYTES]
-        return self.sort_key_at(index)[:-SORT_KEY_TS_BYTES]
+        if self._stats is not None:
+            self._stats.raw_key_probes += 1
+        start = self._base + self._offsets[index]
+        return self.payload[start : start + self._sklens[index] - SORT_KEY_TS_BYTES]
 
     def begin_ts_at(self, index: int) -> int:
         """``beginTS`` of entry ``index`` from the fixed sort-key suffix."""
@@ -639,8 +591,7 @@ class IndexRun:
         ``intent`` is the cache-admission signal passed down to
         :meth:`StorageHierarchy.read` (``None`` resolves through the
         hierarchy's scoped default).  An *explicitly* MAINTENANCE-intent
-        fetch additionally skips the per-handle view cache (when the
-        hierarchy runs the ``"intent"`` admission mode): the explicit
+        fetch additionally skips the per-handle view cache: the explicit
         intent is only passed by one-pass streams -- merges and streaming
         evolves touch each block exactly once, so memoizing their views
         would only retain dead payloads on a handle queries share.
@@ -663,11 +614,7 @@ class IndexRun:
         view = DataBlockView(
             self.definition, block.payload, stats=self.hierarchy.stats.decode
         )
-        transient = (
-            intent is ReadIntent.MAINTENANCE
-            and self.hierarchy.maintenance_read_mode == "intent"
-        )
-        if not transient:
+        if intent is not ReadIntent.MAINTENANCE:
             self._views[block_index] = view
         return view
 
@@ -836,9 +783,9 @@ __all__ = [
     "RunHeader",
     "Synopsis",
     "block_checksum",
+    "is_data_block",
     "decode_data_block",
     "encode_data_block",
     "encode_data_block_from_blobs",
-    "encode_data_block_v1",
     "HEADER_ORDINAL",
 ]

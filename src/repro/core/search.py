@@ -12,9 +12,7 @@ The hot path is **zero decode**: binary-search probes and the forward scan
 compare raw sort-key slices served straight out of v2 data-block payloads
 (section 4.2: keys "can be compared by simply using memory compare
 operations"), and an :class:`IndexEntry` is materialized only for entries
-actually emitted.  ``use_raw_keys=False`` switches back to the legacy
-decode-and-re-encode comparison -- an ablation hook used by
-``benchmarks/bench_ablation_zero_decode.py`` to quantify the win.
+actually emitted.
 """
 
 from __future__ import annotations
@@ -33,9 +31,7 @@ from repro.core.run import IndexRun
 UNBOUNDED = b""
 
 
-def _first_geq(
-    run: IndexRun, target: bytes, lo: int, hi: int, use_raw_keys: bool = True
-) -> int:
+def _first_geq(run: IndexRun, target: bytes, lo: int, hi: int) -> int:
     """First ordinal in [lo, hi) whose sort key is >= ``target``.
 
     Entries with ``key_bytes == target`` have sort keys that *extend*
@@ -43,20 +39,9 @@ def _first_geq(
     compare greater, so this also finds the first entry of an exactly
     matching key.
     """
-    if use_raw_keys:
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if run.sort_key_at(mid) < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-    # Legacy decode path: materialize the probed entry and re-encode its
-    # sort key (kept for the zero-decode ablation).
-    definition = run.definition
     while lo < hi:
         mid = (lo + hi) // 2
-        if run.entry_at(mid).sort_key(definition) < target:
+        if run.sort_key_at(mid) < target:
             lo = mid + 1
         else:
             hi = mid
@@ -112,7 +97,6 @@ def search_run(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
 ) -> Iterator[IndexEntry]:
     """Yield the newest visible version of each matching key in one run.
 
@@ -130,9 +114,6 @@ def search_run(
         initial binary-search range.
     use_offset_array:
         Ablation hook -- benchmarks disable it to measure its benefit.
-    use_raw_keys:
-        Ablation hook -- ``False`` restores the legacy decode-per-probe
-        comparison path.
     """
     for _sort_key, entry in search_run_raw(
         run,
@@ -141,7 +122,6 @@ def search_run(
         query_ts,
         hash_value,
         use_offset_array,
-        use_raw_keys,
     ):
         yield entry
 
@@ -153,7 +133,6 @@ def search_run_raw(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
 ) -> Iterator[Tuple[bytes, IndexEntry]]:
     """Like :func:`search_run` but yields ``(sort_key, entry)`` pairs.
 
@@ -168,29 +147,9 @@ def search_run_raw(
     else:
         lo, hi = 0, run.entry_count
     lo, hi = _probe_fences(run, lower_key, lo, hi)
-    start = _first_geq(run, lower_key, lo, hi, use_raw_keys)
+    start = _first_geq(run, lower_key, lo, hi)
 
-    if not use_raw_keys:
-        # Legacy ablation path: decode every scanned entry.
-        definition = run.definition
-        previous_key: Optional[bytes] = None
-        emitted_previous = False
-        for entry in run.iter_entries(start):
-            key = entry.key_bytes(definition)
-            if upper_exclusive != UNBOUNDED and key >= upper_exclusive:
-                break
-            if key != previous_key:
-                previous_key = key
-                emitted_previous = False
-            if emitted_previous:
-                continue  # an older version of a key we already answered
-            if entry.begin_ts > query_ts:
-                continue  # newer than the snapshot; keep looking within the key
-            emitted_previous = True
-            yield entry.sort_key(definition), entry
-        return
-
-    previous_key = None
+    previous_key: Optional[bytes] = None
     emitted_previous = False
     for view, i in run.iter_positions(start):
         sort_key = view.sort_key_at(i)
@@ -214,7 +173,6 @@ def lookup_key_in_run(
     query_ts: int,
     hash_value: Optional[int] = None,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
     use_bloom: bool = True,
 ) -> Optional[IndexEntry]:
     """Point lookup: the newest visible version of one exact key, if any.
@@ -228,7 +186,7 @@ def lookup_key_in_run(
         return None
     upper = prefix_successor(key)
     for entry in search_run(
-        run, key, upper, query_ts, hash_value, use_offset_array, use_raw_keys
+        run, key, upper, query_ts, hash_value, use_offset_array
     ):
         return entry
     return None
@@ -239,7 +197,6 @@ def batch_lookup_in_run(
     sorted_keys: Sequence[Tuple[bytes, int]],
     query_ts: int,
     use_offset_array: bool = True,
-    use_raw_keys: bool = True,
     use_bloom: bool = True,
 ) -> List[Optional[IndexEntry]]:
     """Look up a pre-sorted key batch with one sequential pass over the run.
@@ -277,23 +234,8 @@ def batch_lookup_in_run(
             # full-run search -- is what makes the sequential pass stay
             # sequential.
             continue
-        start = _first_geq(
-            run, key, *_probe_fences(run, key, lo, hi), use_raw_keys
-        )
+        start = _first_geq(run, key, *_probe_fences(run, key, lo, hi))
         floor = start
-        if not use_raw_keys:
-            # Legacy ablation path: decode every scanned entry.
-            upper = prefix_successor(key)
-            definition = run.definition
-            for entry in run.iter_entries(start):
-                entry_key = entry.key_bytes(definition)
-                if upper != b"" and entry_key >= upper:
-                    break
-                if entry.begin_ts > query_ts:
-                    continue
-                results[i] = entry
-                break
-            continue
         for view, in_block in run.iter_positions(start):
             sort_key = view.sort_key_at(in_block)
             if sort_key[:-SORT_KEY_TS_BYTES] != key:

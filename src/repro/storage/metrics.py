@@ -28,9 +28,8 @@ class ReadIntent(enum.Enum):
     post-groomer's groomed-block scans, crash-recovery validation -- that
     touches each block once and never again; admitting those blocks would
     only displace query-hot data from a bounded cache (classic scan
-    thrashing).  Under the default ``maintenance_read_mode="intent"``
-    policy, MAINTENANCE reads never promote into the memory or SSD tiers;
-    the ``"legacy"`` ablation mode restores promote-everything behaviour.
+    thrashing).  MAINTENANCE reads therefore never promote into the memory
+    or SSD tiers.
     """
 
     QUERY = "query"
@@ -319,23 +318,17 @@ class EpochStats:
     references them.  ``reclaims_deferred`` counts retirements that had to
     park behind a live pin; ``reclaimed_while_pinned`` counts reclaim
     actions that executed while some query still held the run -- the
-    hazard the protected modes exist to eliminate (it must stay 0 under
-    ``run_lifecycle="versionset"`` and ``"epoch"``; the ``"legacy"``
-    ablation mode reclaims immediately and reports how often it fired
-    under live queries).  ``eviction_pin_skips`` counts cache
+    hazard the lifecycle exists to eliminate, so it must stay 0 (the
+    house invariant checks read it).  ``eviction_pin_skips`` counts cache
     purge/release decisions that were skipped because the target run was
     pinned.
 
     The refcount-cost counters make pin cost a countable invariant:
 
-    * ``version_refs`` / ``version_unrefs`` -- versionset-mode Ref/Unref
-      operations on version nodes.  Exactly one of each per query, so a
+    * ``version_refs`` / ``version_unrefs`` -- Ref/Unref operations on
+      version nodes.  Exactly one of each per query, so a
       query costs **exactly 2** version-refcount operations regardless of
       run count.
-    * ``run_ref_ops`` -- per-run refcount updates on the pin ledger
-      (every epoch-mode pin/release walks its whole snapshot: O(runs)
-      per query; in versionset mode only ad-hoc, non-version collectors
-      pay this).
     * ``versions_reclaimed`` -- version nodes whose last reference went
       away (superseded and unpinned), unblocking runs only they covered.
     * ``versions_coalesced`` -- publications folded into a later rebuild
@@ -360,7 +353,6 @@ class EpochStats:
     version_refs: int = 0
     version_unrefs: int = 0
     versions_reclaimed: int = 0
-    run_ref_ops: int = 0
     versions_coalesced: int = 0
 
     def snapshot(self) -> "EpochStats":
@@ -376,7 +368,6 @@ class EpochStats:
             version_refs=self.version_refs,
             version_unrefs=self.version_unrefs,
             versions_reclaimed=self.versions_reclaimed,
-            run_ref_ops=self.run_ref_ops,
             versions_coalesced=self.versions_coalesced,
         )
 
@@ -395,7 +386,6 @@ class EpochStats:
             version_refs=self.version_refs - earlier.version_refs,
             version_unrefs=self.version_unrefs - earlier.version_unrefs,
             versions_reclaimed=self.versions_reclaimed - earlier.versions_reclaimed,
-            run_ref_ops=self.run_ref_ops - earlier.run_ref_ops,
             versions_coalesced=self.versions_coalesced - earlier.versions_coalesced,
         )
 
@@ -411,7 +401,6 @@ class EpochStats:
         self.version_refs = 0
         self.version_unrefs = 0
         self.versions_reclaimed = 0
-        self.run_ref_ops = 0
         self.versions_coalesced = 0
 
 
@@ -459,8 +448,7 @@ class DecodeStats:
     ``raw_key_probes`` counts zero-decode sort-key slice fetches, and
     ``blob_copies`` counts pre-serialized entry blobs forwarded verbatim
     (the merge fast path).  A healthy hot path probes raw keys many times
-    per entry decode; the v1 decode path pays one decode (plus a sort-key
-    re-encode) per probe.
+    per entry decode.
 
     Counters are plain ints incremented without the ledger lock: they sit
     on every binary-search probe, and the GIL already makes the increments
@@ -472,14 +460,10 @@ class DecodeStats:
     blob_copies: int = 0
     # Maintenance/write-path counters (PR 2).  ``evolve_blob_splices``
     # counts entries migrated across zones as raw RID/key splices (the
-    # streaming evolve path), ``checksum_validations`` counts data blocks
-    # re-validated by CRC instead of by decoding (recovery, journal), and
-    # ``maintenance_entry_decodes`` counts full entry decodes incurred by
-    # maintenance operations (evolve/recovery fallbacks) -- the number the
-    # zero-decode write path drives to ~0.
+    # streaming evolve path), and ``checksum_validations`` counts data
+    # blocks re-validated by CRC instead of by decoding (recovery, journal).
     evolve_blob_splices: int = 0
     checksum_validations: int = 0
-    maintenance_entry_decodes: int = 0
 
     def snapshot(self) -> "DecodeStats":
         return DecodeStats(
@@ -488,7 +472,6 @@ class DecodeStats:
             blob_copies=self.blob_copies,
             evolve_blob_splices=self.evolve_blob_splices,
             checksum_validations=self.checksum_validations,
-            maintenance_entry_decodes=self.maintenance_entry_decodes,
         )
 
     def diff(self, earlier: "DecodeStats") -> "DecodeStats":
@@ -498,9 +481,6 @@ class DecodeStats:
             blob_copies=self.blob_copies - earlier.blob_copies,
             evolve_blob_splices=self.evolve_blob_splices - earlier.evolve_blob_splices,
             checksum_validations=self.checksum_validations - earlier.checksum_validations,
-            maintenance_entry_decodes=(
-                self.maintenance_entry_decodes - earlier.maintenance_entry_decodes
-            ),
         )
 
     def reset(self) -> None:
@@ -509,7 +489,6 @@ class DecodeStats:
         self.blob_copies = 0
         self.evolve_blob_splices = 0
         self.checksum_validations = 0
-        self.maintenance_entry_decodes = 0
 
 
 def _add_fields(target, source) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encoding import KeyValue
@@ -54,12 +54,7 @@ class ShardConfig:
     """Lifecycle cadence and component tunables for one shard.
 
     Most fields mirror a knob of the paper's deployment (groom/post-groom
-    cadence, partition buckets); the ablation-style flags are
-    ``streaming_evolve`` (zero-decode evolve vs legacy rebuild),
-    ``maintenance_read_mode`` (maintenance-aware cache admission vs the
-    legacy promote-everything read path) and ``run_lifecycle``
-    (version-set query pins vs the per-run epoch ledger vs the
-    unprotected legacy reclamation).
+    cadence, partition buckets); ``planner`` picks the access-path planner.
     """
 
     post_groom_every: int = 20  # groom cycles per post-groom (paper: 1s vs 20s)
@@ -67,29 +62,6 @@ class ShardConfig:
     umzi: UmziConfig = field(default_factory=UmziConfig)
     require_primary_index: bool = True
     groomed_block_grace_psns: int = 1
-    # Zero-decode evolve (raw RID splices over groomed entry blobs) vs the
-    # legacy per-index entry rebuild; see wildfire.indexer.
-    streaming_evolve: bool = True
-    # Maintenance-aware cache admission for the whole shard: "intent"
-    # (default) makes MAINTENANCE-intent reads -- evolve streams, merges,
-    # post-groomer scans, recovery validation -- bypass SSD-cache promotion
-    # so background churn never evicts query-hot blocks; "legacy" restores
-    # the promote-everything behaviour as an ablation baseline.  Applied
-    # only when the shard constructs its own hierarchy; an externally
-    # supplied hierarchy keeps its owner's policy.  See
-    # storage.metrics.ReadIntent and benchmarks/bench_cache_maintenance.py.
-    maintenance_read_mode: str = "intent"
-    # Run lifecycle for every index of the shard: "versionset" (default)
-    # refcounts immutable run-list versions LevelDB/RocksDB-style (one
-    # Ref/Unref per query, O(1) in run count) and defers physical
-    # reclamation of evolved/merged-away runs until no live version
-    # contains them -- what makes `start_daemons` safe for concurrent
-    # readers; "epoch" is the per-run-refcount ablation (same safety,
-    # O(runs) pin cost) and "legacy" the unprotected pre-lifecycle
-    # ablation (see repro.core.epoch and
-    # benchmarks/bench_concurrent_throughput.py).  Overrides the nested
-    # `umzi.run_lifecycle` so one flag governs primary and secondaries.
-    run_lifecycle: str = "versionset"
     # Secondary indexes (name -> spec), maintained in lockstep with the
     # primary through every groom and evolve (paper section 10 future work).
     secondary_indexes: Optional[Dict[str, "IndexSpec"]] = None
@@ -118,7 +90,6 @@ class WildfireShard:
         self.config = config if config is not None else ShardConfig()
         if self.config.require_primary_index:
             index_spec.validate_primary(schema)
-        self._owns_hierarchy = hierarchy is None
         self.hierarchy = hierarchy if hierarchy is not None else StorageHierarchy()
 
         self.clock = HybridClock()
@@ -126,41 +97,15 @@ class WildfireShard:
             self.hierarchy, namespace=f"{schema.name}-live-log"
         )
         self.catalog = BlockCatalog(schema, self.hierarchy)
-        # One lifecycle flag governs every index of the shard (primary and
-        # secondaries evolve in lockstep, so their reclamation discipline
-        # must match too).  Refuse a conflicting nested setting rather than
-        # silently stamping over it.
-        if self.config.umzi.run_lifecycle not in (
-            "versionset", self.config.run_lifecycle
-        ):
-            raise ValueError(
-                "ShardConfig.run_lifecycle="
-                f"{self.config.run_lifecycle!r} conflicts with "
-                f"umzi.run_lifecycle={self.config.umzi.run_lifecycle!r}; "
-                "set the shard-level flag (it governs every index of the "
-                "shard)"
-            )
-        umzi_config = replace(
-            self.config.umzi, run_lifecycle=self.config.run_lifecycle
-        )
         self.indexes = ShardIndexes(
             schema,
             index_spec,
             self.hierarchy,
-            umzi_config,
+            self.config.umzi,
             secondary_specs=self.config.secondary_indexes,
             require_primary=self.config.require_primary_index,
         )
         self.index = self.indexes.primary.index  # the primary Umzi index
-        # One hierarchy serves every index of the shard, so cache-admission
-        # policy is decided once, by whoever owns the hierarchy: the shard
-        # applies its flag only to a hierarchy it constructed itself; an
-        # externally supplied one keeps its owner's policy (the same rule
-        # UmziIndex follows).
-        if self._owns_hierarchy:
-            self.hierarchy.set_maintenance_read_mode(
-                self.config.maintenance_read_mode
-            )
         self.groomer = Groomer(
             schema, self.clock, self.committed_log, self.catalog, self.indexes
         )
@@ -177,7 +122,6 @@ class WildfireShard:
             self.indexes,
             self.post_groomer,
             groomed_block_grace_psns=self.config.groomed_block_grace_psns,
-            streaming_evolve=self.config.streaming_evolve,
         )
         self.maintenance = MaintenanceService(self.index.merger, self.index.cache)
         self._secondary_maintenance = [
@@ -327,15 +271,11 @@ class WildfireShard:
         the paper's 1s/20s cadence.  ``post_groom_enabled=False`` is the
         Figure 15 ablation (no post-groom, hence no index evolution).
 
-        **Query safety.**  With the default ``run_lifecycle="versionset"``
-        (or the ``"epoch"`` ablation) it is safe to issue point/range/
-        batch queries from any number of threads while the daemons run:
-        each query pins an immutable run-list version -- a single
-        Ref/Unref in versionset mode -- and runs retired by concurrent
-        evolves/merges are only physically reclaimed once no live version
-        contains them.  Under ``run_lifecycle="legacy"`` (the unprotected
-        ablation) a query can race a reclamation and observe missing
-        blocks.
+        **Query safety.**  It is safe to issue point/range/batch queries
+        from any number of threads while the daemons run: each query pins
+        an immutable run-list version -- a single Ref/Unref -- and runs
+        retired by concurrent evolves/merges are only physically reclaimed
+        once no live version contains them.
         """
         if self._daemon_threads:
             raise RuntimeError("daemons already running")

@@ -11,12 +11,12 @@ published PSN metadata and the post-groomed blocks themselves -- the
 minimum-coordination property the paper emphasizes for loosely-coupled
 distributed processes.
 
-By default evolves run on the zero-decode streaming path: the daemon
-derives one ``beginTS -> new RID`` map from the post-groomed blocks and
-each index re-points its own groomed entry blobs by raw RID splices --
-no :class:`IndexEntry` is rebuilt per index per record.  The legacy
-rebuild-entries-per-index path remains available (``streaming_evolve=
-False``) as the ablation baseline.
+Evolves run on the zero-decode streaming path: the daemon derives one
+``beginTS -> new RID`` map from the post-groomed blocks and each index
+re-points its own groomed entry blobs by raw RID splices -- no
+:class:`IndexEntry` is rebuilt per index per record.  The one exception is
+a PSN whose beginTS values repeat (see :meth:`IndexerDaemon.step`): that
+PSN rebuilds each index's entries from the post-groomed blocks instead.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.faults.crash import crash_point
 from repro.storage.metrics import ReadIntent
 from repro.wildfire.blockstore import BlockCatalog
 from repro.wildfire.indexes import ShardIndexes
-from repro.wildfire.postgroomer import PostGroomer
+from repro.wildfire.postgroomer import PostGroomer, PostGroomOp
 from repro.wildfire.schema import TableSchema
 
 
@@ -55,16 +55,12 @@ class IndexerDaemon:
         indexes: ShardIndexes,
         post_groomer: PostGroomer,
         groomed_block_grace_psns: int = 1,
-        streaming_evolve: bool = True,
     ) -> None:
         self.schema = schema
         self.catalog = catalog
         self.indexes = indexes
         self.index = indexes.primary.index  # the primary index
         self.post_groomer = post_groomer
-        # Zero-decode evolve (RID splices over raw groomed blobs) vs the
-        # legacy per-index entry rebuild; see the module docstring.
-        self.streaming_evolve = streaming_evolve
         # Groomed blocks of PSN p are deleted only once PSN p+grace has
         # evolved, so queries that raced an evolve can still resolve
         # groomed RIDs ("eventually deleted", section 5.4).
@@ -74,8 +70,9 @@ class IndexerDaemon:
         self._thread: Optional[threading.Thread] = None
         self.evolves_applied = 0
         # PSNs that had to fall back from the streaming splice path to the
-        # legacy entry rebuild because beginTS values were not unique (see
-        # step(): a collapsed beginTS -> RID map would mis-point entries).
+        # per-index entry rebuild because beginTS values were not unique
+        # (see step(): a collapsed beginTS -> RID map would mis-point
+        # entries).
         self.streaming_fallbacks = 0
         # Backpressure gate (ISSUE 7): consulted by the threaded loop
         # before each step; False idles the daemon for one poll interval.
@@ -99,69 +96,43 @@ class IndexerDaemon:
             crash_point("indexer.pre_evolve")
             op = self.post_groomer.get_op(next_psn)
 
-            new_rid_by_ts: Dict[int, RID] = {}
-            blocks = []
-            use_streaming = self.streaming_evolve
-            if use_streaming:
-                # One beginTS -> post-groomed RID map serves every index:
-                # evolve never rebuilds an entry, it splices RIDs into
-                # each index's own groomed blobs.  The map published in
-                # the PSN record spares even the block fetches; older op
-                # records without one fall back to the blocks' batched
-                # hand-off (a maintenance read: the blocks are consumed
-                # once, not query traffic).
-                if op.rid_by_begin_ts:
-                    new_rid_by_ts = dict(op.rid_by_begin_ts)
-                else:
-                    for block_id in op.post_groomed_block_ids:
-                        block = self.catalog.get_block(
-                            Zone.POST_GROOMED, block_id,
-                            intent=ReadIntent.MAINTENANCE,
-                        )
-                        new_rid_by_ts.update(block.rid_by_begin_ts())
-                # Streaming evolve keys its RID map by beginTS, which is
-                # only sound when beginTS values uniquely identify record
-                # versions (the groomer's `cycle | order` composition
-                # guarantees that; an alternative ingest front-end might
-                # not).  Duplicates collapse in the map -- the key count
-                # falls short of the migrated record count -- and splicing
-                # from a collapsed map would silently point several index
-                # entries at one record.  Detect that and fall back to the
-                # legacy per-index entry rebuild for this PSN.
-                if len(new_rid_by_ts) < op.record_count:
-                    use_streaming = False
-                    self.streaming_fallbacks += 1
-            if not use_streaming:
-                blocks = [
-                    self.catalog.get_block(
-                        Zone.POST_GROOMED, block_id,
-                        intent=ReadIntent.MAINTENANCE,
-                    )
-                    for block_id in op.post_groomed_block_ids
-                ]
+            # One beginTS -> post-groomed RID map serves every index:
+            # evolve never rebuilds an entry, it splices RIDs into each
+            # index's own groomed blobs.  The map published in the PSN
+            # record spares even the block fetches; older op records
+            # without one fall back to the blocks' batched hand-off (a
+            # maintenance read: the blocks are consumed once, not query
+            # traffic).
+            if op.rid_by_begin_ts:
+                new_rid_by_ts: Dict[int, RID] = dict(op.rid_by_begin_ts)
+            else:
+                new_rid_by_ts = {}
+                for block in self._post_groomed_blocks(op):
+                    new_rid_by_ts.update(block.rid_by_begin_ts())
+            # The RID map is keyed by beginTS, which is only sound when
+            # beginTS values uniquely identify record versions (the
+            # groomer's `cycle | order` composition guarantees that; an
+            # alternative ingest front-end might not).  Duplicates collapse
+            # in the map -- the key count falls short of the migrated
+            # record count -- and splicing from a collapsed map would
+            # silently point several index entries at one record.  Detect
+            # that and rebuild every index's entries for this PSN instead.
+            blocks = None
+            if len(new_rid_by_ts) < op.record_count:
+                blocks = self._post_groomed_blocks(op)
+                self.streaming_fallbacks += 1
             primary_result: Optional[EvolveResult] = None
             secondary_results: List[EvolveResult] = []
             for shard_index in self.indexes.all():
                 if shard_index.index.indexed_psn >= next_psn:
                     continue  # already evolved (e.g. resumed after crash)
-                if use_streaming:
+                if blocks is None:
                     result = shard_index.index.evolve_streaming(
                         op.psn, new_rid_by_ts.get,
                         op.min_groomed_id, op.max_groomed_id,
                     )
                 else:
-                    entries = []
-                    for block in blocks:
-                        for rid, record in block.iter_indexable():
-                            eq, sort, incl = shard_index.extract(record.values)
-                            entries.append(
-                                shard_index.index.make_entry(
-                                    eq, sort, incl, record.begin_ts, rid
-                                )
-                            )
-                    result = shard_index.index.evolve(
-                        op.psn, entries, op.min_groomed_id, op.max_groomed_id
-                    )
+                    result = self._rebuild_evolve(shard_index, op, blocks)
                 if shard_index.name == "primary":
                     primary_result = result
                 else:
@@ -191,6 +162,35 @@ class IndexerDaemon:
                 deleted_groomed_blocks=deleted,
                 secondary_evolves=tuple(secondary_results),
             )
+
+    def _post_groomed_blocks(self, op: PostGroomOp) -> list:
+        """The PSN's post-groomed blocks (a maintenance read)."""
+        return [
+            self.catalog.get_block(
+                Zone.POST_GROOMED, block_id, intent=ReadIntent.MAINTENANCE
+            )
+            for block_id in op.post_groomed_block_ids
+        ]
+
+    @staticmethod
+    def _rebuild_evolve(shard_index, op: PostGroomOp, blocks) -> EvolveResult:
+        """Evolve one index by rebuilding its entries from the blocks.
+
+        Only for PSNs with repeated beginTS values, where the streaming
+        splice path cannot tell record versions apart.
+        """
+        entries = []
+        for block in blocks:
+            for rid, record in block.iter_indexable():
+                eq, sort, incl = shard_index.extract(record.values)
+                entries.append(
+                    shard_index.index.make_entry(
+                        eq, sort, incl, record.begin_ts, rid
+                    )
+                )
+        return shard_index.index.evolve(
+            op.psn, entries, op.min_groomed_id, op.max_groomed_id
+        )
 
     def drain(self, max_steps: int = 64) -> List[IndexerStepResult]:
         """Apply every pending evolve (deterministic mode)."""

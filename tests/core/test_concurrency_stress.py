@@ -1,21 +1,16 @@
-"""Seeded stress: query threads vs live maintenance daemons (ISSUE 4/5).
+"""Seeded stress: query threads vs live maintenance daemons.
 
-The tentpole claim of the protected run lifecycles: with
-``run_lifecycle="versionset"`` (one Ref/Unref per query on the pinned
-version node) or ``"epoch"`` (per-run refcounts) it is safe to fire point
-lookups, range scans, batch lookups and (abandoned) streaming scans from
-several threads while the groomer, post-groomer, indexer and merge
-daemons run -- no torn snapshots, no ``KeyError``/missing-block reads,
-and monotonically progressing retire/reclaim counters with a
-non-negative backlog.  In versionset mode the pin cost is additionally
-counter-asserted: exactly two version-refcount operations per worker
-query, however many runs each pinned version contained.
+The claim of the version-set run lifecycle (one Ref/Unref per query on
+the pinned version node): it is safe to fire point lookups, range scans,
+batch lookups and (abandoned) streaming scans from several threads while
+the groomer, post-groomer, indexer and merge daemons run -- no torn
+snapshots, no ``KeyError``/missing-block reads, and monotonically
+progressing retire/reclaim counters with a non-negative backlog.  The pin
+cost is additionally counter-asserted: exactly two version-refcount
+operations per query, however many runs each pinned version contained.
 
-Each protected mode runs 20 consecutive seeded iterations with fully
-concurrent query threads; legacy mode (no pin tracking, inline
-reclamation) runs its 20 with queries serialized against the daemons --
-the only discipline under which the unprotected lifecycle is sound,
-which is precisely the restriction the protected modes remove.
+20 consecutive seeded iterations run with fully concurrent query threads,
+and 20 more run the daemons alone and query only once they are stopped.
 
 The whole module carries a hard ``pytest-timeout`` in CI so a livelock
 can never hang tier-1 (locally the marker is a no-op when the plugin is
@@ -42,7 +37,7 @@ INGEST_BATCHES = 6
 pytestmark = pytest.mark.timeout(180)
 
 
-def make_shard(mode: str) -> WildfireShard:
+def make_shard() -> WildfireShard:
     schema = TableSchema(
         name="stress",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -56,7 +51,6 @@ def make_shard(mode: str) -> WildfireShard:
         spec,
         config=ShardConfig(
             post_groom_every=2,
-            run_lifecycle=mode,
             umzi=UmziConfig(data_block_bytes=2048),
         ),
     )
@@ -137,9 +131,23 @@ def assert_counters_monotonic(samples) -> None:
         )
 
 
-def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
-    shard = make_shard(mode)
+def count_post_groomed_lookups(shard: WildfireShard) -> list:
+    """Record every post-groomer lookup (each takes one version pin)."""
+    calls: list = []
+    lookup = shard.index.post_groomed_lookup
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lookup(*args, **kwargs)
+
+    shard.index.post_groomed_lookup = counted
+    return calls
+
+
+def run_iteration(seed: int, concurrent_queries: bool = True) -> None:
+    shard = make_shard()
     seed_baseline(shard)
+    post_groom_lookups = count_post_groomed_lookups(shard)
     errors: list = []
     rounds: list = []
     samples = []
@@ -155,14 +163,12 @@ def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
                 return
 
     shard.start_daemons(groom_interval_s=0.002)
-    threads = []
-    if concurrent_queries:
-        threads = [
-            threading.Thread(target=query_loop, args=(seed * 100 + t,))
-            for t in range(QUERY_THREADS)
-        ]
-        for t in threads:
-            t.start()
+    threads = [
+        threading.Thread(target=query_loop, args=(seed * 100 + t,))
+        for t in range(QUERY_THREADS if concurrent_queries else 0)
+    ]
+    for t in threads:
+        t.start()
     try:
         rng = random.Random(seed)
         for batch in range(INGEST_BATCHES):
@@ -181,49 +187,45 @@ def run_iteration(mode: str, seed: int, concurrent_queries: bool) -> None:
             t.join(timeout=10.0)
         shard.stop_daemons()
 
-    assert errors == [], f"{mode} iteration seed={seed}: {errors}"
-    # Quiescent verification (both modes): drain pending evolves, then the
+    assert errors == [], f"iteration seed={seed}: {errors}"
+    # Quiescent verification: drain pending evolves, then the
     # baseline must be fully intact with one version per key.
     shard.indexer.drain()
     quiet_rng = random.Random(seed + 1)
     for _ in range(5):
         check_baseline(shard, quiet_rng, errors, rounds)
-    assert errors == [], f"{mode} post-quiesce seed={seed}: {errors}"
+    assert errors == [], f"post-quiesce seed={seed}: {errors}"
     samples.append((epochs.runs_retired, epochs.runs_reclaimed))
     assert_counters_monotonic(samples)
-    if mode in ("epoch", "versionset"):
-        assert epochs.reclaimed_while_pinned == 0
-        # Nothing pinned once quiet: the backlog must fully drain after
-        # one more (pin-free) query round.  (pinned_run_ids also drains
-        # any release a GC finalizer parked.)
-        assert shard.index.lifecycle.pinned_run_ids() == []
-    if mode == "versionset":
-        # The pin-cost invariant under real daemons: every worker query
-        # cost exactly one version Ref and one Unref -- 2 refcount ops
-        # per query, however many runs each pinned version held.  (The
-        # post-groomer's zone-restricted lookups ride the per-run ledger
-        # and never touch the version counters.)
-        delta = epochs.diff(baseline_epochs)
-        expected = QUERIES_PER_ROUND * len(rounds)
-        assert delta.version_refs == expected, (
-            f"seed={seed}: {delta.version_refs} version refs for "
-            f"{expected} queries"
-        )
-        assert delta.version_unrefs == expected, (
-            f"seed={seed}: {delta.version_unrefs} version unrefs for "
-            f"{expected} queries"
-        )
+    assert epochs.reclaimed_while_pinned == 0
+    # Nothing pinned once quiet: the backlog must fully drain after one
+    # more (pin-free) query round.  (pinned_run_ids also drains any
+    # release a GC finalizer parked.)
+    assert shard.index.lifecycle.pinned_run_ids() == []
+    # The pin-cost invariant under real daemons: every worker query and
+    # every post-groomer lookup cost exactly one version Ref and one
+    # Unref -- 2 refcount ops per query, however many runs each pinned
+    # version held.
+    delta = epochs.diff(baseline_epochs)
+    expected = QUERIES_PER_ROUND * len(rounds) + len(post_groom_lookups)
+    assert delta.version_refs == expected, (
+        f"seed={seed}: {delta.version_refs} version refs for "
+        f"{expected} queries"
+    )
+    assert delta.version_unrefs == expected, (
+        f"seed={seed}: {delta.version_unrefs} version unrefs for "
+        f"{expected} queries"
+    )
 
 
-class TestProtectedModesUnderDaemons:
-    @pytest.mark.parametrize("mode", ["epoch", "versionset"])
-    def test_twenty_seeded_iterations_with_concurrent_queries(self, mode):
+class TestLifecycleUnderDaemons:
+    def test_twenty_seeded_iterations_with_concurrent_queries(self):
         for i in range(ITERATIONS):
-            run_iteration(mode, seed=1000 + i, concurrent_queries=True)
+            run_iteration(seed=1000 + i)
 
-
-class TestLegacyModeSafeConfiguration:
     def test_twenty_seeded_iterations_quiescent_queries(self):
-        # Legacy's safe configuration: no queries while daemons mutate.
+        """Daemons alone, queries only once they are stopped: every
+        reclaim runs inline or drains, and the quiescent answers and
+        the pin-cost ledger hold without concurrent readers."""
         for i in range(ITERATIONS):
-            run_iteration("legacy", seed=2000 + i, concurrent_queries=False)
+            run_iteration(seed=2000 + i, concurrent_queries=False)

@@ -1,8 +1,9 @@
-"""Checksum-based recovery (PR 2): per-block CRC validation, the decode
-fallback for pre-checksum runs, and journal torn-write detection."""
+"""Checksum-based recovery: per-block CRC validation, rejection of runs
+it cannot validate, and journal torn-write detection."""
 
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.definition import i1_definition
@@ -10,11 +11,11 @@ from repro.core.entry import Zone
 from repro.core.index import UmziConfig, UmziIndex
 from repro.core.journal import Checkpoint, MetadataJournal
 from repro.core.levels import LevelConfig
-from repro.core.run import RunHeader, block_checksum, encode_data_block_v1
+from repro.core.run import RunHeader, block_checksum
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
 
-from tests.conftest import make_entries, key_of
+from tests.conftest import make_entries
 
 DEF = i1_definition()
 
@@ -37,18 +38,17 @@ def rewrite_shared(index, block_id, payload):
     index.hierarchy.shared.write(Block(block_id, payload))
 
 
-def downgrade_run_to_v1(index, run):
-    """Rewrite ``run`` as a pre-checksum run: v1 data blocks and a header
-    whose block index carries no checksums (what an old builder wrote)."""
+def rewrite_run(index, run, payload_of, checksum_of):
+    """Rewrite every data block of ``run`` as ``payload_of(payload)`` and
+    record ``checksum_of(new_payload)`` in its header's block index."""
     new_metas = []
-    for bi in range(run.header.num_data_blocks):
-        entries = run.read_block(bi)
-        payload = encode_data_block_v1(DEF, entries)
-        meta = run.header.block_meta[bi]
-        new_metas.append(
-            replace(meta, size_bytes=len(payload), checksum=None)
-        )
-        rewrite_shared(index, run.data_block_id(bi), payload)
+    for bi, meta in enumerate(run.header.block_meta):
+        block_id = run.data_block_id(bi)
+        payload = payload_of(index.hierarchy.shared.read(block_id).payload)
+        new_metas.append(replace(
+            meta, size_bytes=len(payload), checksum=checksum_of(payload)
+        ))
+        rewrite_shared(index, block_id, payload)
     header = replace(run.header, block_meta=tuple(new_metas))
     rewrite_shared(index, run.header_block_id(), header.to_bytes(DEF))
     run.drop_decode_cache()
@@ -93,44 +93,72 @@ class TestChecksumRecovery:
         assert victim.run_id not in survivors
         assert survivors == {r.run_id for r in runs} - {victim.run_id}
 
-    def test_v1_runs_recover_via_decode_fallback(self):
+    def test_run_without_checksums_is_dropped(self):
+        """A header whose block index records no checksums cannot be
+        validated, so recovery drops the run like any corrupt run."""
         index = build_index(runs=2, keys_per_run=20)
-        before_answers = {}
-        for k in range(40):
-            eq, sort = key_of(DEF, k)
-            hit = index.lookup(eq, sort)
-            before_answers[k] = None if hit is None else (hit.begin_ts, hit.rid)
-        for run in index.all_runs():
-            downgrade_run_to_v1(index, run)
+        victim, survivor = index.all_runs()
+        rewrite_run(index, victim, lambda payload: payload, lambda _: None)
+        index.hierarchy.crash_local_tiers()
+        state = index.recover()
+        assert state.corrupt_run_ids == [victim.run_id]
+        assert {r.run_id for r in index.all_runs()} == {survivor.run_id}
+
+    def test_block_without_v2_magic_is_dropped(self):
+        """A block that is not a v2 data block fails validation even when
+        its header checksum matches the bytes."""
+        index = build_index(runs=2, keys_per_run=20)
+        victim, survivor = index.all_runs()
+        rewrite_run(
+            index, victim, lambda payload: b"\0\0\0\1" + payload[4:],
+            block_checksum,
+        )
         index.hierarchy.crash_local_tiers()
         decode = index.hierarchy.stats.decode
         before = decode.snapshot()
         state = index.recover()
-        delta = decode.diff(before)
-        # No checksums: every entry is decode-validated, and the runs
-        # survive with all answers intact.
-        assert not state.incomplete_run_ids and not state.corrupt_run_ids
-        assert delta.maintenance_entry_decodes == 40
-        assert delta.entry_decodes >= 40
-        after_answers = {}
-        for k in range(40):
-            eq, sort = key_of(DEF, k)
-            hit = index.lookup(eq, sort)
-            after_answers[k] = None if hit is None else (hit.begin_ts, hit.rid)
-        assert after_answers == before_answers
+        assert state.corrupt_run_ids == [victim.run_id]
+        assert decode.diff(before).entry_decodes == 0
+        assert {r.run_id for r in index.all_runs()} == {survivor.run_id}
 
-    def test_corrupt_v1_payload_is_dropped_by_decode_fallback(self):
-        index = build_index(runs=2, keys_per_run=20)
+    def test_one_block_without_checksum_drops_the_whole_run(self):
+        index = build_index(runs=2, keys_per_run=30)
         victim, survivor = index.all_runs()
-        downgrade_run_to_v1(index, victim)
-        block_id = victim.data_block_id(0)
-        payload = index.hierarchy.shared.read(block_id).payload
-        # Truncate mid-entry: structural validation must fail.
-        rewrite_shared(index, block_id, payload[: len(payload) - 3])
+        last = victim.header.num_data_blocks - 1
+        assert last > 0, "fixture must span several data blocks"
+        metas = list(victim.header.block_meta)
+        metas[last] = replace(metas[last], checksum=None)
+        header = replace(victim.header, block_meta=tuple(metas))
+        rewrite_shared(index, victim.header_block_id(), header.to_bytes(DEF))
         index.hierarchy.crash_local_tiers()
         state = index.recover()
-        assert victim.run_id in state.corrupt_run_ids
+        assert state.corrupt_run_ids == [victim.run_id]
         assert {r.run_id for r in index.all_runs()} == {survivor.run_id}
+
+    @pytest.mark.parametrize(
+        "payload_of, checksum_of",
+        [
+            (lambda payload: payload, lambda _: None),
+            (lambda payload: b"\0\0\0\1" + payload[4:], block_checksum),
+        ],
+        ids=["no_checksum", "no_v2_magic"],
+    )
+    def test_dropped_run_is_deleted_and_survivor_still_answers(
+        self, payload_of, checksum_of
+    ):
+        index = build_index(runs=2, keys_per_run=20)
+        victim, survivor = index.all_runs()
+        victim_keys = range(20) if victim.min_groomed_id == 0 else range(20, 40)
+        survivor_keys = [k for k in range(40) if k not in victim_keys]
+        rewrite_run(index, victim, payload_of, checksum_of)
+        index.hierarchy.crash_local_tiers()
+        index.recover()
+        assert victim.run_id not in index.hierarchy.shared.namespaces()
+        assert survivor.run_id in index.hierarchy.shared.namespaces()
+        for k in survivor_keys:
+            assert len(index.scan((k,), (k,), (k,))) == 1
+        for k in victim_keys:
+            assert index.scan((k,), (k,), (k,)) == []
 
     def test_header_roundtrip_preserves_checksums(self):
         index = build_index(runs=1)

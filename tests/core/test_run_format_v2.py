@@ -1,10 +1,10 @@
-"""v2 data-block format: raw accessors, block-index narrowing, v1 compat.
+"""v2 data-block format: raw accessors, block-index narrowing, rejection
+of non-v2 payloads.
 
 The property suite (tests/properties/test_zero_decode_keys.py) covers
-random shapes; these tests pin the concrete behaviours: search over a run
-whose blocks were rewritten to the legacy v1 format answers identically to
-the v2 run (through the decode fallback), probes stay zero-decode on v2,
-and the block-index fences bracket the true binary-search target.
+random shapes; these tests pin the concrete behaviours: a run whose block
+lost the v2 magic refuses to be searched, probes stay zero-decode, and the
+block-index fences bracket the true binary-search target.
 """
 
 import pytest
@@ -12,7 +12,7 @@ import pytest
 from repro.core.builder import RunBuilder
 from repro.core.definition import i1_definition
 from repro.core.entry import Zone
-from repro.core.run import encode_data_block_v1
+from repro.core.run import DataBlockView
 from repro.core.search import batch_lookup_in_run, lookup_key_in_run, search_run
 from repro.storage.block import Block
 from repro.storage.hierarchy import StorageHierarchy
@@ -30,17 +30,6 @@ def build_run(keys, block_bytes=256, bloom_fpr=None):
     return run, hierarchy, entries
 
 
-def downgrade_blocks_to_v1(run, hierarchy):
-    """Rewrite every data block of ``run`` in the legacy v1 encoding."""
-    for bi in range(run.header.num_data_blocks):
-        entries = run.read_block(bi)
-        payload = encode_data_block_v1(DEF, entries)
-        block_id = run.data_block_id(bi)
-        hierarchy.delete_everywhere(block_id)  # shared storage is immutable
-        hierarchy.write_persisted(Block(block_id, payload))
-    run.drop_decode_cache()
-
-
 def key_bytes_of(k):
     from repro.core.encoding import encode_composite, encode_uint64
 
@@ -48,32 +37,73 @@ def key_bytes_of(k):
     return encode_uint64(DEF.hash_of(eq)) + encode_composite(eq) + encode_composite(sort)
 
 
-class TestV1RunCompat:
-    def test_lookups_identical_after_downgrade(self):
-        keys = list(range(0, 120, 2))
-        run, hierarchy, _ = build_run(keys)
-        v2_answers = [
-            lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
-            for k in range(-2, 124)
-        ]
-        downgrade_blocks_to_v1(run, hierarchy)
-        assert all(v.version == 1 for v in run._views.values()) or not run._views
-        v1_answers = [
-            lookup_key_in_run(run, key_bytes_of(k), 1 << 40, DEF.hash_of((k,)))
-            for k in range(-2, 124)
-        ]
-        assert v1_answers == v2_answers
-        assert sum(1 for a in v2_answers if a is not None) == len(keys)
+def rewrite_block(run, hierarchy, block_index, rewrite):
+    """Replace one data block's payload with ``rewrite(payload)``."""
+    block_id = run.data_block_id(block_index)
+    payload = hierarchy.read(block_id).payload
+    hierarchy.delete_everywhere(block_id)  # shared storage is immutable
+    hierarchy.write_persisted(Block(block_id, rewrite(payload)))
+    run.drop_decode_cache()
 
-    def test_scan_identical_after_downgrade(self):
+
+def strip_magic(payload):
+    return b"\0\0\0\1" + payload[4:]
+
+
+class TestNonV2Blocks:
+    def test_search_over_non_v2_block_raises(self):
+        run, hierarchy, _ = build_run(list(range(50)))
+        rewrite_block(run, hierarchy, 0, strip_magic)
+        with pytest.raises(ValueError):
+            list(search_run(run, b"", b"", 1 << 40))
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda payload: b"",
+            lambda payload: payload[:3],
+            lambda payload: b"UMZI" + payload[4:],
+            lambda payload: b"umb2" + payload[4:],
+            lambda payload: payload[4:8] + payload[8:],
+        ],
+        ids=["empty", "truncated_magic", "header_magic", "lowercase_magic",
+             "count_prefixed"],
+    )
+    def test_view_rejects_payload_without_v2_magic(self, rewrite):
+        run, hierarchy, _ = build_run(list(range(50)))
+        payload = hierarchy.read(run.data_block_id(0)).payload
+        assert DataBlockView(DEF, payload).count > 0
+        with pytest.raises(ValueError):
+            DataBlockView(DEF, rewrite(payload))
+
+    def test_point_lookup_refuses_only_the_non_v2_block(self):
+        run, hierarchy, _ = build_run(list(range(50)))
+        last_block = run.header.num_data_blocks - 1
+        assert last_block > 0
+
+        def key_in(block_index):
+            payload = hierarchy.read(run.data_block_id(block_index)).payload
+            return DataBlockView(DEF, payload).entry(0).equality_values[0]
+
+        bad, good = key_in(0), key_in(last_block)
+        rewrite_block(run, hierarchy, 0, strip_magic)
+        with pytest.raises(ValueError):
+            lookup_key_in_run(run, key_bytes_of(bad), 1 << 40,
+                              DEF.hash_of((bad,)))
+        hit = lookup_key_in_run(run, key_bytes_of(good), 1 << 40,
+                                DEF.hash_of((good,)))
+        assert hit is not None and hit.equality_values == (good,)
+
+    def test_batch_lookup_over_non_v2_block_raises(self):
         keys = list(range(50))
         run, hierarchy, _ = build_run(keys)
-        lower, upper = b"", b""
-        v2_scan = list(search_run(run, lower, upper, 1 << 40))
-        downgrade_blocks_to_v1(run, hierarchy)
-        v1_scan = list(search_run(run, lower, upper, 1 << 40))
-        assert v1_scan == v2_scan
-        assert len(v2_scan) == len(keys)
+        rewrite_block(run, hierarchy, 0, strip_magic)
+        probe = sorted(
+            ((key_bytes_of(k), DEF.hash_of((k,))) for k in keys),
+            key=lambda pair: pair[0],
+        )
+        with pytest.raises(ValueError):
+            batch_lookup_in_run(run, probe, 1 << 40)
 
 
 class TestZeroDecodeAccounting:

@@ -4,8 +4,7 @@ The whole point of the v2 block format is that raw sort-key slices are
 *bit-identical* to what decode + re-encode would produce, across every
 column-type combination an index definition allows.  These properties pin
 that equivalence down over random definitions and random entries, and check
-that legacy v1 blocks keep decoding (and raw-probing, via the fallback)
-to the same answers.
+that a payload without the v2 magic is rejected.
 """
 
 from __future__ import annotations
@@ -22,12 +21,7 @@ from repro.core.entry import (
     begin_ts_of_sort_key,
     user_key_of_sort_key,
 )
-from repro.core.run import (
-    DataBlockView,
-    decode_data_block,
-    encode_data_block,
-    encode_data_block_v1,
-)
+from repro.core.run import DataBlockView, decode_data_block, encode_data_block
 from repro.storage.hierarchy import StorageHierarchy
 
 _CTYPES = (
@@ -133,29 +127,27 @@ class TestRawSliceEquivalence:
             assert decoded == run.entry_at(ordinal)
 
 
-class TestV1Compatibility:
+class TestBlockFormat:
     @settings(max_examples=40, deadline=None)
     @given(case=definition_and_entries())
-    def test_v1_and_v2_blocks_decode_identically(self, case):
+    def test_v2_block_slices_match_decoded_entries(self, case):
         definition, entries = case
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
-        v1 = encode_data_block_v1(definition, ordered)
-        v2 = encode_data_block(definition, ordered)
-        assert decode_data_block(definition, v1) == ordered
-        assert decode_data_block(definition, v2) == ordered
+        payload = encode_data_block(definition, ordered)
+        assert decode_data_block(definition, payload) == ordered
+        view = DataBlockView(definition, payload)
+        assert view.count == len(ordered)
+        for i, entry in enumerate(ordered):
+            sort_key = entry.sort_key(definition)
+            assert view.sort_key_at(i) == sort_key
+            assert view.key_bytes_at(i) == user_key_of_sort_key(sort_key)
+            assert view.begin_ts_at(i) == entry.begin_ts
 
     @settings(max_examples=40, deadline=None)
     @given(case=definition_and_entries())
-    def test_v1_raw_fallback_matches_v2_slices(self, case):
+    def test_non_v2_payload_raises(self, case):
         definition, entries = case
         ordered = sorted(entries, key=lambda e: e.sort_key(definition))
-        view_v1 = DataBlockView(definition, encode_data_block_v1(definition, ordered))
-        view_v2 = DataBlockView(definition, encode_data_block(definition, ordered))
-        assert view_v1.version == 1
-        assert view_v2.version == 2
-        assert view_v1.count == view_v2.count == len(ordered)
-        for i in range(len(ordered)):
-            assert view_v1.sort_key_at(i) == view_v2.sort_key_at(i)
-            assert view_v1.key_bytes_at(i) == view_v2.key_bytes_at(i)
-            assert view_v1.begin_ts_at(i) == view_v2.begin_ts_at(i)
-            assert view_v1.entry_blob_at(i) == view_v2.entry_blob_at(i)
+        payload = encode_data_block(definition, ordered)
+        with pytest.raises(ValueError):
+            DataBlockView(definition, len(ordered).to_bytes(4, "big") + payload[4:])

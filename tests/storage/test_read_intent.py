@@ -1,13 +1,9 @@
 """Read-intent semantics of the storage hierarchy.
 
 QUERY reads promote shared-storage misses into the SSD cache (the paper's
-block-basis transfer); MAINTENANCE reads never do under the default
-``maintenance_read_mode="intent"`` policy, and both are tracked in
-per-intent hit/miss/promotion counters.  ``"legacy"`` restores the
-promote-everything behaviour for ablations.
+block-basis transfer); MAINTENANCE reads never do, and both are tracked in
+per-intent hit/miss/promotion counters.
 """
-
-import pytest
 
 from repro.storage.block import Block, BlockId
 from repro.storage.hierarchy import StorageHierarchy
@@ -52,21 +48,6 @@ class TestIntentAdmission:
         # The query ledger is untouched.
         assert h.stats.intents[ReadIntent.QUERY].reads == 0
 
-    def test_legacy_mode_restores_maintenance_promotion(self):
-        h = make_hierarchy(maintenance_read_mode="legacy")
-        block = shared_only_block(h)
-        h.read(block.block_id, intent=ReadIntent.MAINTENANCE)
-        assert h.ssd.contains(block.block_id)
-        assert h.stats.intents[ReadIntent.MAINTENANCE].promotions == 1
-
-    def test_mode_is_mutable_and_validated(self):
-        h = make_hierarchy()
-        assert h.maintenance_read_mode == "intent"
-        h.set_maintenance_read_mode("legacy")
-        assert h.maintenance_read_mode == "legacy"
-        with pytest.raises(ValueError):
-            h.set_maintenance_read_mode("bogus")
-
     def test_local_hits_counted_per_intent(self):
         h = make_hierarchy()
         block = shared_only_block(h)
@@ -86,6 +67,26 @@ class TestIntentAdmission:
         stats = h.stats.intents[ReadIntent.MAINTENANCE]
         assert stats.reads == 3 and stats.promotions == 0
         assert not any(h.ssd.contains(b.block_id) for b in blocks)
+
+    def test_maintenance_read_does_not_block_later_promotion(self):
+        h = make_hierarchy()
+        block = shared_only_block(h)
+        h.read(block.block_id, intent=ReadIntent.MAINTENANCE)
+        assert not h.ssd.contains(block.block_id)
+        h.read(block.block_id, intent=ReadIntent.QUERY)
+        assert h.ssd.contains(block.block_id)
+        assert h.stats.intents[ReadIntent.QUERY].promotions == 1
+        assert h.stats.intents[ReadIntent.MAINTENANCE].promotions == 0
+
+    def test_maintenance_read_keeps_resident_blocks_cached(self):
+        h = make_hierarchy()
+        block = shared_only_block(h)
+        h.read(block.block_id, intent=ReadIntent.QUERY)  # promoted
+        for _ in range(3):
+            h.read(block.block_id, intent=ReadIntent.MAINTENANCE)
+        assert h.ssd.contains(block.block_id)
+        stats = h.stats.intents[ReadIntent.MAINTENANCE]
+        assert stats.ssd_hits == 3 and stats.shared_reads == 0
 
     def test_promotion_respects_capacity(self):
         h = make_hierarchy(ssd=SSDTier(capacity_bytes=32))
@@ -131,7 +132,7 @@ class TestReadShared:
         assert h.read_shared(local_only.block_id) is None
 
     def test_read_shared_counts_and_never_promotes(self):
-        h = make_hierarchy(maintenance_read_mode="legacy")
+        h = make_hierarchy()
         block = shared_only_block(h)
         out = h.read_shared(block.block_id)
         assert out is not None

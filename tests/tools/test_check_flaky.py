@@ -41,6 +41,17 @@ def test_rebalance_policy_is_covered():
     assert "bench_rebalance.py" in covered
 
 
+def test_perfbench_is_covered():
+    """The repo benchmark's files fall under both rules."""
+    tool = load_tool()
+    for dirs in (tool.BENCH_DIRS, tool.ASSERT_RULE_DIRS):
+        covered = {
+            (p.parent.name, p.name) for p in tool.bench_files(dirs)
+        }
+        assert ("perfbench", "runner.py") in covered
+        assert ("perfbench", "test_perfbench.py") in covered
+
+
 def test_detects_unannotated_repeat_one(tmp_path):
     tool = load_tool()
     bad = tmp_path / "bench_bad.py"

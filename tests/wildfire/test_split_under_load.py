@@ -45,7 +45,7 @@ def make_table(num_shards=2):
         schema,
         IndexSpec(("device",), ("msg",), ("reading",)),
         num_shards=num_shards,
-        config=ShardConfig(post_groom_every=2, run_lifecycle="versionset"),
+        config=ShardConfig(post_groom_every=2),
     )
 
 

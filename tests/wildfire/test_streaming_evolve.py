@@ -1,6 +1,6 @@
 """End-to-end streaming evolve: the zero-decode indexer path must answer
-identically to the legacy rebuild path, for primary and secondary indexes,
-with zero entry decodes during the evolve itself."""
+every primary and secondary query with the newest record version, with
+zero entry decodes during the evolve itself."""
 
 from repro.core.definition import ColumnSpec
 from repro.core.entry import Zone
@@ -8,7 +8,7 @@ from repro.wildfire.engine import ShardConfig, WildfireShard
 from repro.wildfire.schema import IndexSpec, TableSchema
 
 
-def make_shard(streaming, **overrides):
+def make_shard(**overrides):
     schema = TableSchema(
         name="iot",
         columns=(ColumnSpec("device"), ColumnSpec("msg"), ColumnSpec("reading")),
@@ -18,7 +18,6 @@ def make_shard(streaming, **overrides):
     )
     spec = IndexSpec(("device",), ("msg",), ("reading",))
     config = ShardConfig(
-        streaming_evolve=streaming,
         secondary_indexes={"by_reading": IndexSpec((), ("reading",), ())},
         **overrides,
     )
@@ -33,38 +32,29 @@ def run_workload(shard):
     shard.run_cycles(4)
 
 
-def all_answers(shard):
-    answers = {}
-    for d in range(3):
-        for m in range(4):
-            entry = shard.index.lookup((d,), (m,))
-            record = shard.point_query((d,), (m,))
-            answers[(d, m)] = None if entry is None else (
-                entry.begin_ts, entry.include_values, entry.rid.zone,
-                record.values,
-            )
-    return answers
-
-
-class TestStreamingVsLegacyEndToEnd:
-    def test_identical_answers_both_paths(self):
-        streaming = make_shard(streaming=True, post_groom_every=2)
-        legacy = make_shard(streaming=False, post_groom_every=2)
-        run_workload(streaming)
-        run_workload(legacy)
-        assert streaming.indexer.evolves_applied > 0
-        assert streaming.index.indexed_psn == legacy.index.indexed_psn
-        assert all_answers(streaming) == all_answers(legacy)
-        # Secondary index answers agree too (newest versions by reading).
-        s_hits = streaming.secondary_lookup("by_reading", (), (512,))
-        l_hits = legacy.secondary_lookup("by_reading", (), (512,))
-        assert len(s_hits) == len(l_hits)
-        assert [(e.begin_ts, e.rid) for e in s_hits] == [
-            (e.begin_ts, e.rid) for e in l_hits
+class TestStreamingEvolveEndToEnd:
+    def test_answers_match_newest_versions(self):
+        shard = make_shard(post_groom_every=2)
+        run_workload(shard)
+        assert shard.indexer.evolves_applied > 0
+        assert shard.indexer.streaming_fallbacks == 0
+        last = 5 * 100  # readings written by the final ingest batch
+        for d in range(3):
+            for m in range(4):
+                reading = last + d * 10 + m
+                entry = shard.index.lookup((d,), (m,))
+                assert entry is not None
+                assert entry.include_values == (reading,)
+                assert shard.point_query((d,), (m,)).values == (d, m, reading)
+        # The secondary index evolved in lockstep: reading 512 is exactly
+        # one live record, and its RID resolves to that record.
+        hits = shard.secondary_lookup("by_reading", (), (512,))
+        assert [shard.catalog.fetch_record(e.rid).values for e in hits] == [
+            (1, 2, 512)
         ]
 
     def test_streaming_evolve_is_zero_decode(self):
-        shard = make_shard(streaming=True, post_groom_every=100)
+        shard = make_shard(post_groom_every=100)
         for batch in range(3):
             shard.ingest([(d, m, batch + d + m) for d in range(2) for m in range(3)])
             shard.groomer.groom()
@@ -82,10 +72,4 @@ class TestStreamingVsLegacyEndToEnd:
         )
         # Entries now point into the post-groomed zone.
         hit = shard.index.lookup((1,), (1,))
-        assert hit is not None and hit.rid.zone is Zone.POST_GROOMED
-
-    def test_legacy_flag_still_works(self):
-        shard = make_shard(streaming=False, post_groom_every=2)
-        run_workload(shard)
-        hit = shard.index.lookup((2,), (3,))
         assert hit is not None and hit.rid.zone is Zone.POST_GROOMED

@@ -7,9 +7,9 @@ ported to deterministic simulated counters.  This guard keeps the
 pattern from landing again, with two rules:
 
 1. **repeat=1 annotation rule** (textual).  Every ``repeat=1`` call
-   argument under ``benchmarks/`` and ``src/repro/bench/`` must carry an
-   inline annotation stating why a single un-averaged measurement is
-   acceptable:
+   argument under ``benchmarks/``, ``src/repro/bench/`` and ``perfbench/``
+   must carry an inline annotation stating why a single un-averaged
+   measurement is acceptable:
 
    * ``# counter-asserted`` -- the consuming test asserts only
      deterministic (simulated/probe) counters; wall time is plotted,
@@ -21,7 +21,8 @@ pattern from landing again, with two rules:
    the last two waivers (Figures 9 and 10) were ported to deterministic
    counters, and no new wall-clock shape assertion may land.
 
-2. **direct wall-clock assert rule** (AST).  Inside ``benchmarks/``, an
+2. **direct wall-clock assert rule** (AST).  Inside ``benchmarks/`` (and
+   ``perfbench/``), an
    ``assert`` statement may not reference a variable bound from a
    ``measure_wall_s(...)`` call in the same function -- the A1
    anti-pattern in its most direct form (tight ratios over single
@@ -39,10 +40,17 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-BENCH_DIRS = [REPO_ROOT / "benchmarks", REPO_ROOT / "src" / "repro" / "bench"]
+BENCH_DIRS = [
+    REPO_ROOT / "benchmarks",
+    REPO_ROOT / "src" / "repro" / "bench",
+    # The repo benchmark (perfbench/run.py) records wall time as its
+    # end-to-end metric but asserts only on ledger counters.
+    REPO_ROOT / "perfbench",
+]
 ASSERT_RULE_DIRS = [
     REPO_ROOT / "benchmarks",
     REPO_ROOT / "src" / "repro" / "bench",
+    REPO_ROOT / "perfbench",
     # The planner's cost model feeds counter-asserted benchmarks (A15);
     # keep wall-clock measurements out of it too.
     REPO_ROOT / "src" / "repro" / "planner",
