@@ -12,67 +12,93 @@ independently (shards share nothing -- separate storage hierarchies,
 logs, catalogs and index instances), and answers queries by routing
 (sharding key fully bound) or scatter-gather (otherwise).
 
-**Overload protection (ISSUE 7).**  Constructed with a
-:class:`~repro.qos.admission.QosConfig`, the table threads the full qos
-stack through its serving path:
+**One read pipeline.**  ``point_query``, ``range_query`` and typed
+``query`` run the same steps; each read shape supplies only its shard
+call, its degraded call and its merge:
 
-* every ``point_query``/``range_query``/``ingest`` passes a token-bucket
-  :class:`~repro.qos.admission.AdmissionController` (typed
-  ``Overloaded``/``DeadlineExceeded`` sheds, per-query deadlines on the
-  simulated clock);
-* a cluster-wide :class:`~repro.qos.scheduler.DaemonScheduler` throttles
-  every shard's maintenance when the admission backlog, retry pressure,
-  or an open breaker says queries need the bandwidth;
-* each shard's shared tier gets a
-  :class:`~repro.qos.breaker.CircuitBreaker`; while it is open, queries
-  for that shard degrade to local tiers + a pinned versionset snapshot
-  (counted as ``degraded_reads``) instead of erroring.
+1. *admit* -- under a :class:`~repro.qos.admission.QosConfig` every read
+   (and every ``ingest`` batch) passes one token-bucket
+   :class:`~repro.qos.admission.AdmissionController` (typed
+   ``Overloaded``/``DeadlineExceeded`` sheds, per-op deadlines on the
+   simulated clock);
+2. *pin the map* -- every read pins the current
+   :class:`~repro.wildfire.shardmap.ShardMap` epoch for its lifetime
+   (exactly one Ref and one Unref on the cluster ledger: two refcount
+   operations per read), so a migration's publishes are atomic swaps no
+   read can observe torn;
+3. *route or scatter* -- a bound sharding key reads its slot's holders
+   (one shard, or two inside a migration window); otherwise every live
+   holder is read, and typed scatters first skip shards whose per-index
+   :class:`AccessPathSynopsis` proves the query's bounds cannot match
+   (``scatter_stats()`` counts considered/contacted/pruned shards);
+4. *serve* -- each shard answers through one breaker-aware call (table
+   below);
+5. *merge* -- newest ``beginTS`` wins per key, which is exactly what a
+   migration window's double-read needs;
+6. *report* -- shards that failed are named in a
+   :class:`PartialResultError` carrying the surviving answer and the
+   serving routing epoch, never a bare ``TransientIOError``.
 
-**Online shard split (ISSUE 8).**  Routing goes through immutable
-:class:`~repro.wildfire.shardmap.ShardMap` epochs published
-versionset-style: every query pins the current map for its lifetime
-(exactly one Ref and one Unref on the cluster ledger -- two refcount
-operations per query), so a split's two map publishes are atomic swaps
-that no in-flight query can observe torn.  :meth:`split_shard` drains a
-source shard into two successors with a write-first cutover:
+Who may serve degraded (local tiers plus a pinned versionset snapshot,
+counted as ``degraded_reads``) while a shard's shared-tier
+:class:`~repro.qos.breaker.CircuitBreaker` is open:
 
-1. publish a ``migrating`` route (epoch N+1) -- new writes go to the
-   successors, reads *double-read* successor + source and keep the
-   newest version by raw ``beginTS``;
-2. quiesce the source, hand its hybrid clock forward to the successors
-   (so every post-split ``beginTS`` sorts after every pre-split one),
-   and stream the source's post-groomed runs into one run per successor
-   as raw ``(sort_key, blob)`` pairs -- the zero-decode evolve path;
-3. publish the ``split`` route (epoch N+2) and retire the source.
+==========================================  ==============================
+reader                                      degraded?
+==========================================  ==============================
+point/range read on a non-fresh holder      yes
+fresh-write holder in a migration window    never -- a snapshot could miss
+                                            cut-over writes; the read
+                                            reports a partial result
+typed ``query``                             never, and no breaker
+                                            pre-check: warm local tiers
+                                            answer, a brownout reports a
+                                            partial result
+==========================================  ==============================
 
-Crash points ``split.pre_copy`` / ``mid_copy`` / ``pre_publish`` /
-``post_publish`` cover the protocol; recovery rolls back to fully-old
-routing before the cutover and rolls *forward* to fully-new after it --
-never a torn map (see :meth:`recover_split`).
+A cluster-wide :class:`~repro.qos.scheduler.DaemonScheduler` throttles
+every shard's maintenance when the admission backlog, retry pressure,
+or an open breaker says queries need the bandwidth.
 
-**Online shard merge + the rebalance pump (ISSUE 10).**
-:meth:`merge_shards` is the inverse: a slot whose route is ``split``
-fuses its two successors into one fresh target shard through a
-``merging`` route (target owns fresh writes; reads double-read target +
-old successor, newest ``beginTS`` wins), clock handoff taking the max of
-both successors' hybrid clocks, verbatim block adoption (the split-time
-block-id stride keeps the two sides' post-split blocks collision-free)
-and a zero-decode run interleave -- with ``merge.*`` crash points and
-:meth:`recover_merge` mirroring the split's roll-back/roll-forward
-split.  Both migrations can also run *pumped*: :meth:`begin_split` /
-:meth:`split_step` (and the merge twins) advance the copy in budgeted
-slices interleaved with live traffic, producing byte-identical results
-to the synchronous calls.  Shards carrying secondary indexes split and
-merge too: the copy runs one partition pass per index, recovering each
-entry's sharding key zero-decode from the primary-key suffix every
-secondary sort key carries.
+**One migration state machine.**  :meth:`split_shard` drains a source
+shard into two successors; :meth:`merge_shards` fuses a split slot's two
+successors into one fresh target -- the same machinery run backwards.
+One :class:`~repro.wildfire.migration.Migration` is in flight at a time,
+under one lock, with one copy stream; its direction supplies what
+differs.  Both run synchronously or *pumped* (:meth:`begin_split` /
+:meth:`split_step` and the merge twins advance the copy in budgeted
+slices between live traffic, byte-identical to the synchronous call):
 
-**Scatter pruning (ISSUE 10).**  Typed scatter-gather queries consult
-each live shard's per-index :class:`AccessPathSynopsis` first and skip
-shards whose observed key ranges provably cannot match the query's
-bounds (every row version is present in every index, so a disjoint
-range on *any* index rules the shard out); ``scatter_stats()`` counts
-considered/contacted/pruned shards.
+==============  ==============================  ==============================
+phase           split (``split.*`` crash sites) merge (``merge.*`` crash sites)
+==============  ==============================  ==============================
+``pre_copy``    source validated, qos gate;     both successors validated, qos
+                crash rolls back                gate; crash rolls back
+window          ``migrating`` route (epoch      ``merging`` route (epoch N+1):
+                N+1): writes go to the two      writes go to the fused target,
+                successors, reads double-read   reads double-read target + old
+                successor + source              successor
+copy            quiesce the source, hand its    quiesce both, raise the
+                clock to both successors,       target's clock to the max of
+                copy blocks verbatim, partition both, adopt both sides' blocks,
+                each index's runs zero-decode   interleave runs zero-decode
+                (``split.mid_copy``)            (``merge.mid_copy``)
+``copied``      publish the ``split`` route     publish the ``single`` route
+                (``split.pre_publish``)         (``merge.pre_publish``)
+``published``   retire the source               retire both successors
+                (``split.post_publish``)        (``merge.post_publish``)
+``done``        no migration in flight          no migration in flight
+==============  ==============================  ==============================
+
+A :class:`~repro.faults.crash.SimulatedCrash` at any crash site leaves
+the migration parked; :meth:`recover_split` / :meth:`recover_merge`
+roll back before the cutover and *forward* after it (every copy step is
+idempotent) -- never a torn map.  Until the final publish the
+destinations are frozen: grooming there would assign ``beginTS`` from a
+clock not yet handed forward, breaking newest-wins.  Shards carrying
+secondary indexes migrate too: the copy runs one pass per index,
+recovering each entry's sharding key zero-decode from the primary-key
+suffix every secondary sort key carries.
 
 All counters land on the cluster's own qos ledger
 (:meth:`ShardedTable.qos_stats`); admission queueing delays are charged
@@ -83,7 +109,7 @@ simulated clock includes time spent waiting in queue.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.encoding import KeyValue, encode_composite, fnv1a64
 from repro.core.entry import IndexEntry
@@ -96,35 +122,91 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.metrics import IOStats, QosStats
 from repro.storage.retry import StorageBrownout, TransientIOError
 from repro.planner import Query
-from repro.wildfire.engine import ShardConfig, WildfireShard
+from repro.wildfire.engine import ShardConfig, WildfireShard, newest_per_primary_key
 from repro.wildfire.indexes import PRIMARY_INDEX_NAME
+from repro.wildfire.migration import MERGE, SPLIT, Direction, Migration
 from repro.wildfire.record import Record
 from repro.wildfire.schema import IndexSpec, SchemaError, TableSchema
-from repro.wildfire.shardmap import (
-    MapPin,
-    ShardMap,
-    ShardMapRegistry,
-    SlotRoute,
-)
-from repro.wildfire.merge import (
-    MergeAborted,
-    MergeError,
-    MergeState,
-    adopt_all_blocks,
-    merge_copy_stream,
-)
-from repro.wildfire.split import (
-    ShardCopyStream,
-    SplitAborted,
-    SplitError,
-    SplitState,
-    SplitUnsupported,
-    copy_post_groomed_blocks,
-    index_slicers,
-    split_copy_stream,
-)
+from repro.wildfire.shardmap import ShardMap, ShardMapRegistry
+from repro.wildfire.split import ShardCopyStream
 
 ADMISSION_TIER = "admission"
+
+
+class _ReadShape(NamedTuple):
+    """What one read shape plugs into the shared read pipeline."""
+
+    serve: Callable  # (shard, args) -> part: the authoritative shard call
+    # (shard, args) -> part from the shard's degraded snapshot pin; None:
+    # the shape never degrades and skips the breaker pre-check.
+    degraded: Optional[Callable]
+    merge: Callable  # (table, parts, shard map) -> answer
+    partial: Callable  # answer -> the PartialResultError payload
+    lone: Optional[Callable] = None  # a lone holder's part -> answer
+    prune: bool = False  # consult shard synopses before a scatter
+
+
+def _newest_record(parts: Sequence[Optional[Record]]) -> Optional[Record]:
+    """The newest version by raw ``beginTS`` (the first holder wins ties)."""
+    best: Optional[Record] = None
+    for record in parts:
+        if record is not None and (best is None or record.begin_ts > best.begin_ts):
+            best = record
+    return best
+
+
+def _merge_entries(
+    table: "ShardedTable", parts: Sequence[List[IndexEntry]], shard_map: ShardMap
+) -> List[IndexEntry]:
+    """Range merge: key order, newest version per key while double-reading.
+
+    Each shard returns at most one (newest visible) version per key;
+    while any slot double-reads, two holders may both answer for a key.
+    Sorting by the full sort key (key bytes + descending-encoded
+    beginTS) groups one key's versions newest-first, so keeping the
+    first entry per key drops both exact duplicates (copied entries are
+    byte-identical) and stale versions in one pass.
+    """
+    definition = table.shards[0].index.definition
+    entries = [entry for part in parts for entry in part]
+    if not shard_map.needs_merge():
+        entries.sort(key=lambda entry: entry.key_bytes(definition))
+        return entries
+    entries.sort(key=lambda entry: entry.sort_key(definition))
+    merged: List[IndexEntry] = []
+    last_key: Optional[bytes] = None
+    for entry in entries:
+        key = entry.key_bytes(definition)
+        if key != last_key:
+            last_key = key
+            merged.append(entry)
+    return merged
+
+
+def _untag(tagged) -> List[Tuple[KeyValue, ...]]:
+    return [row for _, _, row in tagged]
+
+
+_POINT = _ReadShape(
+    serve=lambda shard, args: shard.point_query(*args),
+    degraded=lambda shard, args: shard.degraded_point_query(*args),
+    merge=lambda table, parts, shard_map: _newest_record(parts),
+    partial=lambda best: () if best is None else (best,),
+)
+_RANGE = _ReadShape(
+    serve=lambda shard, args: shard.range_query(*args),
+    degraded=lambda shard, args: shard.degraded_range_query(*args),
+    merge=_merge_entries,
+    partial=tuple,
+)
+_TYPED = _ReadShape(
+    serve=lambda shard, query: shard._query_tagged(query),
+    degraded=None,
+    merge=lambda table, parts, shard_map: _untag(newest_per_primary_key(parts)),
+    partial=tuple,
+    lone=_untag,  # one shard's tagged rows are already newest-per-pk, sorted
+    prune=True,
+)
 
 
 class ShardedTable:
@@ -145,25 +227,11 @@ class ShardedTable:
             raise SchemaError("a sharded table needs a sharding key")
         self.schema = schema
         self.index_spec = index_spec
-        self.num_shards = num_shards
         self._config = config
         # ``hierarchy_factory(shard_id)`` lets callers supply per-shard
         # storage (e.g. FaultyTier-backed hierarchies for brownout tests);
         # shards still share nothing -- one hierarchy each.
         self._hierarchy_factory = hierarchy_factory
-        self.shards: List[WildfireShard] = [
-            WildfireShard(
-                schema,
-                index_spec,
-                hierarchy=(
-                    hierarchy_factory(shard_id)
-                    if hierarchy_factory is not None
-                    else None
-                ),
-                config=config,
-            )
-            for shard_id in range(num_shards)
-        ]
         self._shard_positions = schema.positions(schema.sharding_key)
         # Which index key columns the sharding key pins (for routing reads).
         self._spec_eq = index_spec.equality_columns
@@ -186,8 +254,9 @@ class ShardedTable:
             self._scheduler = DaemonScheduler(
                 qos, stats=self._qos_io.qos, admission=self._admission
             )
-        for shard_id, shard in enumerate(self.shards):
-            self._attach_qos(shard_id, shard)
+        self.shards: List[WildfireShard] = []
+        for _ in range(num_shards):
+            self._new_shard()
 
         # -- online split / routing epochs (ISSUE 8) ----------------------
         # The cluster ledger's EpochStats belongs exclusively to the map
@@ -198,12 +267,11 @@ class ShardedTable:
         )
         self._retired: Set[int] = set()
         # One lock serializes split *and* merge control flow (queries
-        # never take it); at most one migration is in flight at a time.
-        self._active_split: Optional[SplitState] = None
-        self._active_merge: Optional[MergeState] = None
-        self._split_stream: Optional[ShardCopyStream] = None
-        self._merge_stream: Optional[ShardCopyStream] = None
-        self._split_lock = threading.Lock()
+        # never take it); at most one migration is in flight at a time,
+        # with at most one copy stream open.
+        self._migration: Optional[Migration] = None
+        self._stream: Optional[ShardCopyStream] = None
+        self._migration_lock = threading.Lock()
         self._daemons_running = False
         self._daemon_interval = 0.05
         # -- typed scatter-gather pruning counters (ISSUE 10) --------------
@@ -213,23 +281,6 @@ class ShardedTable:
             "shards_contacted": 0,
             "shards_pruned": 0,
         }
-
-    def _attach_qos(self, shard_id: int, shard: WildfireShard) -> None:
-        """Wire one shard into the qos stack (no-op without a config)."""
-        if self.qos_config is None:
-            self._breakers.append(None)
-            return
-        breaker = CircuitBreaker(
-            f"shared/shard{shard_id}",
-            self.qos_config.breaker,
-            clock=self.sim_now,
-            stats=self._qos_io.qos,
-        )
-        shard.hierarchy.attach_shared_breaker(breaker)
-        shard.attach_scheduler(self._scheduler)
-        self._scheduler.watch_breaker(breaker)
-        self._scheduler.watch_faults(shard.hierarchy.stats.faults)
-        self._breakers.append(breaker)
 
     # -- qos surface -----------------------------------------------------------------
 
@@ -315,12 +366,15 @@ class ShardedTable:
         equality_values: Sequence[KeyValue],
         sort_values: Sequence[KeyValue],
     ) -> Optional[Tuple[KeyValue, ...]]:
-        """Sharding values when the query binds them all, else ``None``."""
-        bound: Dict[str, KeyValue] = {}
-        for name, value in zip(self._spec_eq, equality_values):
-            bound[name] = value
-        for name, value in zip(self._spec_sort, sort_values):
-            bound[name] = value
+        """Sharding values when the index key values bind them all."""
+        bound = dict(zip(self._spec_eq, equality_values))
+        bound.update(zip(self._spec_sort, sort_values))
+        return self._sharding_values(bound)
+
+    def _sharding_values(
+        self, bound: Dict[str, KeyValue]
+    ) -> Optional[Tuple[KeyValue, ...]]:
+        """Sharding values when ``bound`` binds them all, else ``None``."""
         try:
             return tuple(bound[name] for name in self.schema.sharding_key)
         except KeyError:
@@ -334,14 +388,7 @@ class ShardedTable:
         Under a qos config the whole batch passes admission control first
         (one token per batch) and its deadline is tracked like a query's.
         """
-        if self._admission is None:
-            return self._ingest_inner(rows)
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._ingest_inner(rows)
-        finally:
-            ticket.finish(self.sim_now() - start)
+        return self._admitted(self._ingest_inner, rows)
 
     def _ingest_inner(
         self, rows: Sequence[Sequence[KeyValue]]
@@ -372,23 +419,9 @@ class ShardedTable:
         newest-wins comparison.
         """
         skip = set(self._retired)
-        state = self._active_split
-        if state is not None and state.phase in (
-            "pre_copy",
-            "migrating",
-            "copied",
-        ):
-            for successor_id in (state.left_id, state.right_id):
-                if successor_id >= 0:
-                    skip.add(successor_id)
-        merge_state = self._active_merge
-        if merge_state is not None and merge_state.phase in (
-            "pre_copy",
-            "merging",
-            "copied",
-        ):
-            if merge_state.target_id >= 0:
-                skip.add(merge_state.target_id)
+        migration = self._migration
+        if migration is not None and migration.phase not in ("published", "done"):
+            skip.update(migration.destinations)
         return skip
 
     def tick(self) -> None:
@@ -415,59 +448,18 @@ class ShardedTable:
         for shard in self.shards:
             shard.stop_daemons()
 
-    # -- online shard split (ISSUE 8) ---------------------------------------------
-
-    def _check_no_migration(self) -> None:
-        if self._active_split is not None:
-            raise SplitError(
-                f"a split of shard {self._active_split.source_id} is "
-                "already in flight; recover it first"
-            )
-        if self._active_merge is not None:
-            raise MergeError(
-                f"a merge of shards {self._active_merge.left_id} and "
-                f"{self._active_merge.right_id} is already in flight; "
-                "recover it first"
-            )
-
-    def _begin_split_state(self, shard_id: int) -> SplitState:
-        """Validate a split request and park its phase machine."""
-        self._check_no_migration()
-        if shard_id in self._retired:
-            raise SplitError(f"shard {shard_id} is retired")
-        # Raises SplitUnsupported (naming the offending indexes) when any
-        # index's key columns do not contain the sharding key; shards
-        # carrying secondary indexes pass -- every secondary's sort key
-        # ends with the primary key, which contains the sharding key.
-        index_slicers(self.shards[shard_id], shard_id)
-        current = self._maps.current
-        slot = next(
-            (
-                i
-                for i, route in enumerate(current.slots)
-                if route.state == "single" and route.primary == shard_id
-            ),
-            None,
-        )
-        if slot is None:
-            raise SplitError(
-                f"shard {shard_id} does not solely own a routable slot"
-            )
-        state = SplitState(source_id=shard_id, slot=slot)
-        self._active_split = state
-        return state
+    # -- online shard split and merge: one migration state machine ----------------
 
     def split_shard(self, shard_id: int) -> Dict[str, object]:
         """Split one shard's slot into two successor shards, online.
 
         Serialized with other migrations; queries never take this lock.
         A :class:`~repro.faults.crash.SimulatedCrash` at any of the four
-        ``split.*`` crash points leaves the phase machine parked in
-        ``self._active_split`` for :meth:`recover_split`.
+        ``split.*`` crash points leaves the migration parked for
+        :meth:`recover_split`.
         """
-        with self._split_lock:
-            state = self._begin_split_state(shard_id)
-            return self._run_split(state)
+        with self._migration_lock:
+            return self._run_migration(self._start_migration(SPLIT, (shard_id,)))
 
     def begin_split(self, shard_id: int) -> Dict[str, object]:
         """Start a *pumped* split: run the write cutover, then return.
@@ -477,10 +469,7 @@ class ShardedTable:
         (and correct) however long the pump takes.  The end state is
         byte-identical to a synchronous :meth:`split_shard`.
         """
-        with self._split_lock:
-            state = self._begin_split_state(shard_id)
-            self._split_cutover(state)
-            return {"epoch": self._maps.epoch, **state.summary()}
+        return self._begin_migration(SPLIT, (shard_id,))
 
     def split_step(self, budget: int = 2048) -> Dict[str, object]:
         """Advance an in-flight split by up to ``budget`` copied pairs.
@@ -489,30 +478,7 @@ class ShardedTable:
         stream drains.  Returns the state summary plus ``pulled`` (pairs
         copied this call); ``phase == "done"`` means the split finished.
         """
-        with self._split_lock:
-            state = self._active_split
-            if state is None:
-                raise SplitError("no split is in flight")
-            pulled = 0
-            if state.phase == "pre_copy":
-                self._split_cutover(state)
-            elif state.phase == "migrating":
-                self._split_prepare(state)
-                pulled = self._split_stream.step(budget)
-                if self._split_stream.done:
-                    self._finish_split_copy(state)
-                    result = self._run_split(state)
-                    result["pulled"] = pulled
-                    return result
-            else:
-                result = self._run_split(state)
-                result["pulled"] = pulled
-                return result
-            return {
-                "epoch": self._maps.epoch,
-                "pulled": pulled,
-                **state.summary(),
-            }
+        return self._step_migration(SPLIT, budget)
 
     def recover_split(self) -> Dict[str, object]:
         """Resume (or roll back) a split interrupted by a crash.
@@ -525,193 +491,7 @@ class ShardedTable:
 
         Idempotent: calling with no interrupted split is a no-op.
         """
-        with self._split_lock:
-            state = self._active_split
-            if state is None:
-                return {"resumed": False, "epoch": self._maps.epoch}
-            if self._split_stream is not None:
-                # A partial pump (or a crash mid-stream) left pinned
-                # snapshots behind; drop them and replay the idempotent
-                # copy from the top.
-                self._split_stream.abort()
-                self._split_stream = None
-            if state.phase == "pre_copy":
-                self._active_split = None
-                return {
-                    "resumed": True,
-                    "outcome": "rolled_back",
-                    "epoch": self._maps.epoch,
-                }
-            result = self._run_split(state)
-            result["outcome"] = "rolled_forward"
-            return result
-
-    def _split_gate(self, state: SplitState) -> None:
-        """Backpressure gate: refuse to even start a split under duress.
-
-        Only consulted before the write cutover -- past that point the
-        only safe direction is forward, whatever the breakers say.
-        """
-        if self._scheduler is not None and not self._scheduler.allow_maintenance():
-            self._active_split = None
-            raise SplitAborted(
-                "maintenance backpressure: split refused before cutover"
-            )
-        breaker = self._breakers[state.source_id]
-        if breaker is not None and breaker.state() is BreakerState.OPEN:
-            self._active_split = None
-            raise SplitAborted(
-                f"shard {state.source_id} breaker is open; split refused"
-            )
-
-    def _split_cutover(self, state: SplitState) -> None:
-        """Phase ``pre_copy`` -> ``migrating``: the write cutover."""
-        self._split_gate(state)
-        crash_point("split.pre_copy")
-        if state.left_id < 0:
-            state.left_id = self._new_shard()
-            state.right_id = self._new_shard()
-        current = self._maps.current
-        migrating = current.with_slot(
-            state.slot,
-            SlotRoute(
-                "migrating",
-                primary=state.source_id,
-                left=state.left_id,
-                right=state.right_id,
-            ),
-            epoch=current.epoch + 1,
-        )
-        # Write cutover: from this swap on, new rows for the slot land
-        # on the successors and every read double-reads.
-        old = self._maps.publish(migrating)
-        state.migrating_epoch = migrating.epoch
-        state.phase = "migrating"
-        # No query pinned to the pre-cutover map may still be routing
-        # writes to the source once we start draining it.
-        self._maps.drain(old.epoch)
-
-    def _split_prepare(self, state: SplitState) -> None:
-        """Quiesce, hand the clock forward, adopt blocks, open the stream.
-
-        Idempotent: every sub-step tolerates replay, and the stream is
-        only (re)built when none is open -- a pump calls this once per
-        step, a crash recovery rebuilds from scratch.
-        """
-        if self._split_stream is not None:
-            return
-        source = self.shards[state.source_id]
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-        # The source stops receiving writes at the cutover: its daemon
-        # threads (if any) retire now, and one synchronous quiesce
-        # empties its live and groomed zones for good.
-        source.stop_daemons()
-        state.quiesce_grooms += source.quiesce()["grooms"]
-        # Clock handoff: every beginTS the successors will ever assign
-        # must sort after every beginTS the source ever assigned, or
-        # the double-read's newest-wins comparison lies.
-        for successor in (left, right):
-            successor.clock.ensure_at_least(*source.clock.state())
-            # Ghosted secondary entries travel with the copy: each side
-            # inherits the source's tracker so index-only stays
-            # disqualified where the source had ghosts (ISSUE 10).
-            successor.indexes.adopt_ghost_state((source.indexes,))
-        state.copied_blocks += copy_post_groomed_blocks(
-            source, (left, right)
-        )
-        self._split_stream = split_copy_stream(
-            source, left, right, index_slicers(source, state.source_id)
-        )
-
-    def _finish_split_copy(self, state: SplitState) -> None:
-        state.copied_entries += self._split_stream.copied_entries
-        self._split_stream = None
-        state.phase = "copied"
-
-    def _run_split(self, state: SplitState) -> Dict[str, object]:
-        """Advance the split phase machine to completion (resumable)."""
-        if state.phase == "pre_copy":
-            self._split_cutover(state)
-
-        source = self.shards[state.source_id]
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-
-        if state.phase == "migrating":
-            self._split_prepare(state)
-            self._split_stream.run_all()
-            self._finish_split_copy(state)
-
-        if state.phase == "copied":
-            crash_point("split.pre_publish")
-            current = self._maps.current
-            final = current.with_slot(
-                state.slot,
-                SlotRoute(
-                    "split",
-                    primary=state.source_id,
-                    left=state.left_id,
-                    right=state.right_id,
-                ),
-                epoch=state.migrating_epoch + 1,
-            )
-            self._maps.publish(final)
-            state.final_epoch = final.epoch
-            state.phase = "published"
-            self._maps.drain(state.migrating_epoch)
-
-        if state.phase == "published":
-            crash_point("split.post_publish")
-            # Decommission: the source keeps its data (an old-epoch pin may
-            # still read it) but never grooms again; the successors start
-            # their normal lifecycle, daemons included if the cluster runs
-            # them.
-            source.stop_daemons()
-            source.exit_degraded_mode()
-            self._retired.add(state.source_id)
-            if self._daemons_running:
-                for successor in (left, right):
-                    if not successor._daemon_threads:
-                        successor.start_daemons(
-                            groom_interval_s=self._daemon_interval
-                        )
-            state.phase = "done"
-            self._active_split = None
-
-        return {
-            "resumed": True,
-            "epoch": self._maps.epoch,
-            **state.summary(),
-        }
-
-    # -- online shard merge (ISSUE 10) ---------------------------------------------
-
-    def _begin_merge_state(self, left_id: int, right_id: int) -> MergeState:
-        """Validate a merge request and park its phase machine."""
-        self._check_no_migration()
-        for shard_id in (left_id, right_id):
-            if shard_id in self._retired:
-                raise MergeError(f"shard {shard_id} is retired")
-        current = self._maps.current
-        slot = next(
-            (
-                i
-                for i, route in enumerate(current.slots)
-                if route.state == "split"
-                and {route.left, route.right} == {left_id, right_id}
-            ),
-            None,
-        )
-        if slot is None:
-            raise MergeError(
-                f"shards {left_id} and {right_id} are not the two "
-                "successors of one split slot"
-            )
-        route = current.slots[slot]
-        state = MergeState(left_id=route.left, right_id=route.right, slot=slot)
-        self._active_merge = state
-        return state
+        return self._recover_migration(SPLIT)
 
     def merge_shards(self, left_id: int, right_id: int) -> Dict[str, object]:
         """Fuse a split slot's two successors back into one shard, online.
@@ -723,13 +503,13 @@ class ShardedTable:
         adopt both sides' record blocks verbatim and interleave their
         runs zero-decode, then publish the ``single`` route and retire
         both sources.  A :class:`~repro.faults.crash.SimulatedCrash` at
-        any of the four ``merge.*`` crash points leaves the phase
-        machine parked in ``self._active_merge`` for
-        :meth:`recover_merge`.
+        any of the four ``merge.*`` crash points leaves the migration
+        parked for :meth:`recover_merge`.
         """
-        with self._split_lock:
-            state = self._begin_merge_state(left_id, right_id)
-            return self._run_merge(state)
+        with self._migration_lock:
+            return self._run_migration(
+                self._start_migration(MERGE, (left_id, right_id))
+            )
 
     def begin_merge(self, left_id: int, right_id: int) -> Dict[str, object]:
         """Start a *pumped* merge: run the write cutover, then return.
@@ -738,37 +518,11 @@ class ShardedTable:
         end state is byte-identical to a synchronous
         :meth:`merge_shards`.
         """
-        with self._split_lock:
-            state = self._begin_merge_state(left_id, right_id)
-            self._merge_cutover(state)
-            return {"epoch": self._maps.epoch, **state.summary()}
+        return self._begin_migration(MERGE, (left_id, right_id))
 
     def merge_step(self, budget: int = 2048) -> Dict[str, object]:
         """Advance an in-flight merge by up to ``budget`` copied pairs."""
-        with self._split_lock:
-            state = self._active_merge
-            if state is None:
-                raise MergeError("no merge is in flight")
-            pulled = 0
-            if state.phase == "pre_copy":
-                self._merge_cutover(state)
-            elif state.phase == "merging":
-                self._merge_prepare(state)
-                pulled = self._merge_stream.step(budget)
-                if self._merge_stream.done:
-                    self._finish_merge_copy(state)
-                    result = self._run_merge(state)
-                    result["pulled"] = pulled
-                    return result
-            else:
-                result = self._run_merge(state)
-                result["pulled"] = pulled
-                return result
-            return {
-                "epoch": self._maps.epoch,
-                "pulled": pulled,
-                **state.summary(),
-            }
+        return self._step_migration(MERGE, budget)
 
     def recover_merge(self) -> Dict[str, object]:
         """Resume (or roll back) a merge interrupted by a crash.
@@ -783,130 +537,213 @@ class ShardedTable:
 
         Idempotent: calling with no interrupted merge is a no-op.
         """
-        with self._split_lock:
-            state = self._active_merge
-            if state is None:
+        return self._recover_migration(MERGE)
+
+    def _start_migration(
+        self, direction: Direction, shard_ids: Tuple[int, ...]
+    ) -> Migration:
+        """Validate a request and park its state machine (lock held)."""
+        active = self._migration
+        if active is not None:
+            raise active.direction.error(
+                f"{active.direction.describe(active)} is already in "
+                "flight; recover it first"
+            )
+        slot, sources = direction.locate(
+            self._maps.current, self.shards, self._retired, shard_ids
+        )
+        self._migration = Migration(direction, slot, sources)
+        return self._migration
+
+    def _begin_migration(
+        self, direction: Direction, shard_ids: Tuple[int, ...]
+    ) -> Dict[str, object]:
+        with self._migration_lock:
+            migration = self._start_migration(direction, shard_ids)
+            self._cutover(migration)
+            return {"epoch": self._maps.epoch, **migration.summary()}
+
+    def _in_flight(self, direction: Direction) -> Optional[Migration]:
+        migration = self._migration
+        if migration is None or migration.direction is not direction:
+            return None
+        return migration
+
+    def _step_migration(
+        self, direction: Direction, budget: int
+    ) -> Dict[str, object]:
+        with self._migration_lock:
+            migration = self._in_flight(direction)
+            if migration is None:
+                raise direction.error(f"no {direction.name} is in flight")
+            pulled = 0
+            if migration.phase == "pre_copy":
+                self._cutover(migration)
+            elif migration.phase == direction.window:
+                self._prepare(migration)
+                pulled = self._stream.step(budget)
+                if self._stream.done:
+                    self._finish_copy(migration)
+            if migration.phase == direction.window:
+                return {
+                    "epoch": self._maps.epoch,
+                    "pulled": pulled,
+                    **migration.summary(),
+                }
+            result = self._run_migration(migration)
+            result["pulled"] = pulled
+            return result
+
+    def _recover_migration(self, direction: Direction) -> Dict[str, object]:
+        with self._migration_lock:
+            migration = self._in_flight(direction)
+            if migration is None:
                 return {"resumed": False, "epoch": self._maps.epoch}
-            if self._merge_stream is not None:
-                self._merge_stream.abort()
-                self._merge_stream = None
-            if state.phase == "pre_copy":
-                self._active_merge = None
+            if self._stream is not None:
+                # A partial pump (or a crash mid-stream) left pinned
+                # snapshots behind; drop them and replay the idempotent
+                # copy from the top.
+                self._stream.abort()
+                self._stream = None
+            if migration.phase == "pre_copy":
+                self._migration = None
                 return {
                     "resumed": True,
                     "outcome": "rolled_back",
                     "epoch": self._maps.epoch,
                 }
-            result = self._run_merge(state)
+            result = self._run_migration(migration)
             result["outcome"] = "rolled_forward"
             return result
 
-    def _merge_gate(self, state: MergeState) -> None:
-        """Backpressure gate, mirroring :meth:`_split_gate`."""
+    def _gate(self, migration: Migration) -> None:
+        """Backpressure gate: refuse to even start a migration under duress.
+
+        Only consulted before the write cutover -- past that point the
+        only safe direction is forward, whatever the breakers say.
+        """
+        name = migration.direction.name
+        aborted = migration.direction.aborted
         if self._scheduler is not None and not self._scheduler.allow_maintenance():
-            self._active_merge = None
-            raise MergeAborted(
-                "maintenance backpressure: merge refused before cutover"
-            )
-        for shard_id in (state.left_id, state.right_id):
+            self._migration = None
+            raise aborted(f"maintenance backpressure: {name} refused before cutover")
+        for shard_id in migration.sources:
             breaker = self._breakers[shard_id]
             if breaker is not None and breaker.state() is BreakerState.OPEN:
-                self._active_merge = None
-                raise MergeAborted(
-                    f"shard {shard_id} breaker is open; merge refused"
-                )
+                self._migration = None
+                raise aborted(f"shard {shard_id} breaker is open; {name} refused")
 
-    def _merge_cutover(self, state: MergeState) -> None:
-        """Phase ``pre_copy`` -> ``merging``: the write cutover."""
-        self._merge_gate(state)
-        crash_point("merge.pre_copy")
-        if state.target_id < 0:
-            state.target_id = self._new_shard()
+    def _cutover(self, migration: Migration) -> None:
+        """Phase ``pre_copy`` -> window: the write cutover."""
+        direction = migration.direction
+        self._gate(migration)
+        crash_point(f"{direction.name}.pre_copy")
+        if not migration.destinations:
+            migration.destinations = tuple(
+                self._new_shard() for _ in range(direction.fan_out)
+            )
         current = self._maps.current
-        merging = current.with_slot(
-            state.slot,
-            SlotRoute(
-                "merging",
-                primary=state.target_id,
-                left=state.left_id,
-                right=state.right_id,
-            ),
+        window = current.with_slot(
+            migration.slot,
+            direction.route(direction.window, migration),
             epoch=current.epoch + 1,
         )
         # Write cutover: from this swap on, new rows for the slot land on
-        # the fused target and every read double-reads target + the old
-        # successor that owned the key.
-        old = self._maps.publish(merging)
-        state.merging_epoch = merging.epoch
-        state.phase = "merging"
+        # the destinations and every read double-reads.
+        old = self._maps.publish(window)
+        migration.window_epoch = window.epoch
+        migration.phase = direction.window
+        # No query pinned to the pre-cutover map may still be routing
+        # writes to a source once we start draining it.
         self._maps.drain(old.epoch)
 
-    def _merge_prepare(self, state: MergeState) -> None:
-        """Quiesce both sources, raise the clock, adopt blocks, open the
-        stream.  Idempotent, mirroring :meth:`_split_prepare`."""
-        if self._merge_stream is not None:
+    def _prepare(self, migration: Migration) -> None:
+        """Quiesce, hand the clock forward, adopt blocks, open the stream.
+
+        Idempotent: every sub-step tolerates replay, and the stream is
+        only (re)built when none is open -- a pump calls this once per
+        step, a crash recovery rebuilds from scratch.
+        """
+        if self._stream is not None:
             return
-        left = self.shards[state.left_id]
-        right = self.shards[state.right_id]
-        target = self.shards[state.target_id]
-        for source in (left, right):
+        sources = [self.shards[i] for i in migration.sources]
+        destinations = [self.shards[i] for i in migration.destinations]
+        for source in sources:
+            # A source stops receiving writes at the cutover: its daemon
+            # threads (if any) retire now, and one synchronous quiesce
+            # empties its live and groomed zones for good.
             source.stop_daemons()
-            state.quiesce_grooms += source.quiesce()["grooms"]
-            # Clock handoff: component-wise max over both sources, so no
-            # beginTS the target ever mints collides with either history.
-            target.clock.ensure_at_least(*source.clock.state())
-        # Ghost trackers union (disagreements collapse to "unknown",
-        # which counts the row's next update as a ghost -- conservative).
-        target.indexes.adopt_ghost_state((left.indexes, right.indexes))
-        state.copied_blocks += adopt_all_blocks((left, right), target)
-        self._merge_stream = merge_copy_stream((left, right), target)
+            migration.quiesce_grooms += source.quiesce()["grooms"]
+        for destination in destinations:
+            # Clock handoff (component-wise max over the sources): every
+            # beginTS a destination will ever assign must sort after
+            # every beginTS a source ever assigned, or the double-read's
+            # newest-wins comparison lies.
+            for source in sources:
+                destination.clock.ensure_at_least(*source.clock.state())
+            # Ghosted secondary entries travel with the copy: inheriting
+            # the sources' trackers keeps index-only disqualified where a
+            # source had ghosts (disagreements collapse to "unknown").
+            destination.indexes.adopt_ghost_state(
+                tuple(source.indexes for source in sources)
+            )
+        direction = migration.direction
+        migration.copied_blocks += direction.copy_blocks(sources, destinations)
+        self._stream = direction.copy_stream(migration, sources, destinations)
 
-    def _finish_merge_copy(self, state: MergeState) -> None:
-        state.copied_entries += self._merge_stream.copied_entries
-        self._merge_stream = None
-        state.phase = "copied"
+    def _finish_copy(self, migration: Migration) -> None:
+        migration.copied_entries += self._stream.copied_entries
+        self._stream = None
+        migration.phase = "copied"
 
-    def _run_merge(self, state: MergeState) -> Dict[str, object]:
-        """Advance the merge phase machine to completion (resumable)."""
-        if state.phase == "pre_copy":
-            self._merge_cutover(state)
+    def _run_migration(self, migration: Migration) -> Dict[str, object]:
+        """Advance the state machine to completion (resumable)."""
+        direction = migration.direction
+        if migration.phase == "pre_copy":
+            self._cutover(migration)
 
-        target = self.shards[state.target_id]
+        if migration.phase == direction.window:
+            self._prepare(migration)
+            self._stream.step(budget=None)  # the synchronous copy: drain it
+            self._finish_copy(migration)
 
-        if state.phase == "merging":
-            self._merge_prepare(state)
-            self._merge_stream.run_all()
-            self._finish_merge_copy(state)
-
-        if state.phase == "copied":
-            crash_point("merge.pre_publish")
-            current = self._maps.current
-            final = current.with_slot(
-                state.slot,
-                SlotRoute("single", primary=state.target_id),
-                epoch=state.merging_epoch + 1,
+        if migration.phase == "copied":
+            crash_point(f"{direction.name}.pre_publish")
+            final = self._maps.current.with_slot(
+                migration.slot,
+                direction.route(direction.final, migration),
+                epoch=migration.window_epoch + 1,
             )
             self._maps.publish(final)
-            state.final_epoch = final.epoch
-            state.phase = "published"
-            self._maps.drain(state.merging_epoch)
+            migration.final_epoch = final.epoch
+            migration.phase = "published"
+            self._maps.drain(migration.window_epoch)
 
-        if state.phase == "published":
-            crash_point("merge.post_publish")
-            for source_id in (state.left_id, state.right_id):
+        if migration.phase == "published":
+            crash_point(f"{direction.name}.post_publish")
+            # Decommission: a source keeps its data (an old-epoch pin may
+            # still read it) but never grooms again; the destinations
+            # start their normal lifecycle, daemons included if the
+            # cluster runs them.
+            for source_id in migration.sources:
                 source = self.shards[source_id]
                 source.stop_daemons()
                 source.exit_degraded_mode()
                 self._retired.add(source_id)
-            if self._daemons_running and not target._daemon_threads:
-                target.start_daemons(groom_interval_s=self._daemon_interval)
-            state.phase = "done"
-            self._active_merge = None
+            if self._daemons_running:
+                for destination_id in migration.destinations:
+                    destination = self.shards[destination_id]
+                    if not destination._daemon_threads:
+                        destination.start_daemons(
+                            groom_interval_s=self._daemon_interval
+                        )
+            migration.phase = "done"
+            self._migration = None
 
         return {
             "resumed": True,
             "epoch": self._maps.epoch,
-            **state.summary(),
+            **migration.summary(),
         }
 
     def _new_shard(self) -> int:
@@ -923,11 +760,34 @@ class ShardedTable:
             config=self._config,
         )
         self.shards.append(shard)
-        self._attach_qos(shard_id, shard)
         self.num_shards = len(self.shards)
+        breaker: Optional[CircuitBreaker] = None
+        if self.qos_config is not None:
+            breaker = CircuitBreaker(
+                f"shared/shard{shard_id}",
+                self.qos_config.breaker,
+                clock=self.sim_now,
+                stats=self._qos_io.qos,
+            )
+            shard.hierarchy.attach_shared_breaker(breaker)
+            shard.attach_scheduler(self._scheduler)
+            self._scheduler.watch_breaker(breaker)
+            self._scheduler.watch_faults(shard.hierarchy.stats.faults)
+        self._breakers.append(breaker)
         return shard_id
 
-    # -- queries ----------------------------------------------------------------------
+    # -- the read pipeline ------------------------------------------------------------
+
+    def _admitted(self, run: Callable, *args):
+        """``run(*args)`` behind admission control (one token per call)."""
+        if self._admission is None:
+            return run(*args)
+        ticket = self._admission.admit()
+        start = self.sim_now()
+        try:
+            return run(*args)
+        finally:
+            ticket.finish(self.sim_now() - start)
 
     def point_query(
         self,
@@ -937,129 +797,90 @@ class ShardedTable:
     ) -> Optional[Record]:
         """Routed when the sharding key is bound (it is, for a primary-key
         lookup: the sharding key is a subset of the primary key)."""
-        if self._admission is None:
-            return self._point_query_inner(
-                equality_values, sort_values, query_ts
-            )
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._point_query_inner(
-                equality_values, sort_values, query_ts
-            )
-        finally:
-            ticket.finish(self.sim_now() - start)
+        return self._admitted(
+            self._read,
+            _POINT,
+            self._bound_sharding_values(equality_values, sort_values),
+            (equality_values, sort_values, query_ts),
+        )
 
-    def _point_query_inner(
+    def range_query(
         self,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
+        equality_values: Sequence[KeyValue] = (),
+        sort_lower: Optional[Sequence[KeyValue]] = None,
+        sort_upper: Optional[Sequence[KeyValue]] = None,
+        query_ts: Optional[int] = None,
+    ) -> List[IndexEntry]:
+        """Routed if the equality columns pin the sharding key; otherwise a
+        scatter-gather over every shard with a client-side merge."""
+        return self._admitted(
+            self._read,
+            _RANGE,
+            self._bound_sharding_values(equality_values, ()),
+            (equality_values, sort_lower, sort_upper, query_ts),
+        )
+
+    def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
+        """Planner-routed typed query across the cluster.
+
+        Routed to one slot when the query's equality predicates bind
+        every sharding-key column; otherwise a pruned scatter-gather over
+        all live shards.  Each shard plans its own access path (its
+        planner sees its own statistics), returns ``(pk, beginTS, row)``
+        tagged rows, and the gather merges them newest-beginTS-wins per
+        primary key before dropping the tags.  Rows come back sorted by
+        (row values, primary key), identical to
+        :meth:`WildfireShard.query`.
+
+        Typed queries never serve degraded (snapshot-pinned) answers: a
+        browned-out shard is reported in a :class:`PartialResultError`
+        naming it, tagged with the serving epoch, instead of silently
+        narrowing the result.
+        """
+        return self._admitted(
+            self._read, _TYPED, self._sharding_values(dict(query.equalities)), query
+        )
+
+    def _read(self, shape: _ReadShape, values, args):
+        """Pin the map, route or scatter, serve, merge, report failures."""
         with self._maps.pin() as pin:
-            values = self._bound_sharding_values(equality_values, sort_values)
+            shard_map = pin.map
             if values is not None:
-                return self._routed_point(
-                    pin, self.key_hash(values), equality_values, sort_values,
-                    query_ts,
+                key_hash = self.key_hash(values)
+                route = shard_map.route_of(key_hash)
+                reads = route.read_shards(key_hash)
+                if len(reads) == 1:
+                    part = self._serve(shape, reads[0], args, True)
+                    return part if shape.lone is None else shape.lone(part)
+                # Migration window (split *or* merge): double-read both
+                # holders.  The fresh-write holder (a split's successor; a
+                # merge's fused target) answers authoritatively or not at
+                # all -- a degraded answer could miss cut-over writes.
+                fresh: Sequence[int] = (route.write_shard(key_hash),)
+            else:
+                reads = shard_map.scatter_shards()
+                if shape.prune:
+                    reads = self._prune_scatter(list(reads), args)
+                fresh = self._fresh_write_holders(shard_map)
+            parts = []
+            failed: List[int] = []
+            cause: Optional[BaseException] = None
+            for shard_id in reads:
+                try:
+                    parts.append(
+                        self._serve(shape, shard_id, args, shard_id not in fresh)
+                    )
+                except TransientIOError as exc:
+                    # A shard whose retry budget ran out: name it instead
+                    # of letting a bare TransientIOError escape the gather.
+                    failed.append(shard_id)
+                    cause = exc
+            answer = shape.merge(self, parts, shard_map)
+            if failed:
+                raise PartialResultError(
+                    tuple(failed), shape.partial(answer), cause, epoch=pin.epoch
                 )
-            return self._scatter_point(
-                pin, equality_values, sort_values, query_ts
-            )
-
-    def _routed_point(
-        self,
-        pin: MapPin,
-        key_hash: int,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        route = pin.map.route_of(key_hash)
-        reads = route.read_shards(key_hash)
-        if len(reads) == 1:
-            return self._shard_point_query(
-                reads[0],
-                equality_values,
-                sort_values,
-                query_ts,
-            )
-        # Migration window (split *or* merge): double-read both holders,
-        # newest beginTS wins.  The fresh-write holder (a split's
-        # successor; a merge's fused target) must answer authoritatively
-        # or not at all -- a degraded (snapshot-pinned) answer could
-        # silently miss freshly cut-over writes, so its brownouts surface
-        # as a typed partial result tagged with the serving epoch instead.
-        write_holder = route.write_shard(key_hash)
-        best: Optional[Record] = None
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for shard_id in reads:
-            allow_degraded = shard_id != write_holder
-            try:
-                record = self._shard_point_query(
-                    shard_id,
-                    equality_values,
-                    sort_values,
-                    query_ts,
-                    allow_degraded=allow_degraded,
-                )
-            except TransientIOError as exc:
-                failed.append(shard_id)
-                cause = exc
-                continue
-            if record is not None and (
-                best is None or record.begin_ts > best.begin_ts
-            ):
-                best = record
-        if failed:
-            raise PartialResultError(
-                tuple(failed),
-                (best,) if best is not None else (),
-                cause,
-                epoch=pin.epoch,
-            )
-        return best
-
-    def _scatter_point(
-        self,
-        pin: MapPin,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        # Defensive scatter fallback: a failing shard yields a typed
-        # partial-result error naming it, never a bare TransientIOError.
-        shard_map = pin.map
-        fresh = self._fresh_write_holders(shard_map)
-        best: Optional[Record] = None
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for scatter_id in shard_map.scatter_shards():
-            try:
-                record = self._shard_point_query(
-                    scatter_id,
-                    equality_values,
-                    sort_values,
-                    query_ts,
-                    allow_degraded=scatter_id not in fresh,
-                )
-            except TransientIOError as exc:
-                failed.append(scatter_id)
-                cause = exc
-                continue
-            if record is not None and (
-                best is None or record.begin_ts > best.begin_ts
-            ):
-                best = record
-        if failed:
-            raise PartialResultError(
-                tuple(failed),
-                (best,) if best is not None else (),
-                cause,
-                epoch=pin.epoch,
-            )
-        return best
+            return answer
 
     @staticmethod
     def _fresh_write_holders(shard_map: ShardMap) -> Set[int]:
@@ -1078,318 +899,31 @@ class ShardedTable:
                 holders.add(route.primary)
         return holders
 
-    def _shard_point_query(
-        self,
-        shard_id: int,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-        allow_degraded: bool = True,
-    ) -> Optional[Record]:
-        """One shard's point query, with breaker-aware degraded serving."""
+    def _serve(
+        self, shape: _ReadShape, shard_id: int, args, allow_degraded: bool
+    ):
+        """One shard's answer, with breaker-aware degraded serving."""
         shard = self.shards[shard_id]
         breaker = self._breakers[shard_id]
-        if breaker is not None:
-            if breaker.state() is BreakerState.OPEN:
-                if not allow_degraded:
-                    raise StorageBrownout(f"shared/shard{shard_id}", 0)
-                return self._degraded_point(
-                    shard, equality_values, sort_values, query_ts
-                )
+        if breaker is None or shape.degraded is None:
+            return shape.serve(shard, args)
+        if breaker.state() is not BreakerState.OPEN:
             if shard.degraded:
                 shard.exit_degraded_mode()
-        try:
-            return shard.point_query(equality_values, sort_values, query_ts)
-        except StorageBrownout:
-            if breaker is None or not allow_degraded:
-                raise
-            # The breaker tripped mid-query: answer from the snapshot pin
-            # instead of surfacing the brownout to the client.
-            return self._degraded_point(
-                shard, equality_values, sort_values, query_ts
-            )
-
-    def _degraded_point(
-        self,
-        shard: WildfireShard,
-        equality_values: Sequence[KeyValue],
-        sort_values: Sequence[KeyValue],
-        query_ts: Optional[int],
-    ) -> Optional[Record]:
-        shard.enter_degraded_mode()
-        self._qos_io.qos.degraded_reads += 1
-        return shard.degraded_point_query(
-            equality_values, sort_values, query_ts
-        )
-
-    def range_query(
-        self,
-        equality_values: Sequence[KeyValue] = (),
-        sort_lower: Optional[Sequence[KeyValue]] = None,
-        sort_upper: Optional[Sequence[KeyValue]] = None,
-        query_ts: Optional[int] = None,
-    ) -> List[IndexEntry]:
-        """Routed if the equality columns pin the sharding key; otherwise a
-        scatter-gather over every shard with a client-side merge."""
-        if self._admission is None:
-            return self._range_query_inner(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._range_query_inner(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        finally:
-            ticket.finish(self.sim_now() - start)
-
-    def _range_query_inner(
-        self,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        with self._maps.pin() as pin:
-            values = self._bound_sharding_values(equality_values, ())
-            if values is not None:
-                return self._routed_range(
-                    pin,
-                    self.key_hash(values),
-                    equality_values,
-                    sort_lower,
-                    sort_upper,
-                    query_ts,
-                )
-            return self._scatter_range(
-                pin, equality_values, sort_lower, sort_upper, query_ts
-            )
-
-    def _routed_range(
-        self,
-        pin: MapPin,
-        key_hash: int,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        route = pin.map.route_of(key_hash)
-        reads = route.read_shards(key_hash)
-        if len(reads) == 1:
-            return self._shard_range_query(
-                reads[0],
-                equality_values,
-                sort_lower,
-                sort_upper,
-                query_ts,
-            )
-        write_holder = route.write_shard(key_hash)
-        gathered: List[IndexEntry] = []
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for shard_id in reads:
-            allow_degraded = shard_id != write_holder
             try:
-                gathered.extend(
-                    self._shard_range_query(
-                        shard_id,
-                        equality_values,
-                        sort_lower,
-                        sort_upper,
-                        query_ts,
-                        allow_degraded=allow_degraded,
-                    )
-                )
-            except TransientIOError as exc:
-                failed.append(shard_id)
-                cause = exc
-        merged = self._merge_versions(gathered)
-        if failed:
-            raise PartialResultError(
-                tuple(failed), tuple(merged), cause, epoch=pin.epoch
-            )
-        return merged
-
-    def _scatter_range(
-        self,
-        pin: MapPin,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
-        shard_map = pin.map
-        fresh = self._fresh_write_holders(shard_map)
-        gathered: List[IndexEntry] = []
-        failed: List[int] = []
-        cause: Optional[BaseException] = None
-        for scatter_id in shard_map.scatter_shards():
-            try:
-                gathered.extend(
-                    self._shard_range_query(
-                        scatter_id,
-                        equality_values,
-                        sort_lower,
-                        sort_upper,
-                        query_ts,
-                        allow_degraded=scatter_id not in fresh,
-                    )
-                )
-            except TransientIOError as exc:
-                # A shard whose retry budget ran out: name it instead of
-                # letting a bare TransientIOError escape the gather.
-                failed.append(scatter_id)
-                cause = exc
-        if shard_map.needs_merge():
-            gathered = self._merge_versions(gathered)
-        else:
-            definition = self.shards[0].index.definition
-            gathered.sort(key=lambda entry: entry.key_bytes(definition))
-        if failed:
-            raise PartialResultError(
-                tuple(failed), tuple(gathered), cause, epoch=pin.epoch
-            )
-        return gathered
-
-    def _merge_versions(self, entries: List[IndexEntry]) -> List[IndexEntry]:
-        """Client-side double-read merge: newest version per key wins.
-
-        Each shard already returns at most one (newest visible) version
-        per key; during a migration window the successor and the source
-        may both answer for the same key.  Sorting by the full sort key
-        (key bytes + descending-encoded beginTS) groups versions of one
-        key newest-first, so keeping the first entry per key drops both
-        exact duplicates (copied entries are byte-identical) and stale
-        source versions in one pass.
-        """
-        definition = self.shards[0].index.definition
-        entries.sort(key=lambda entry: entry.sort_key(definition))
-        merged: List[IndexEntry] = []
-        last_key: Optional[bytes] = None
-        for entry in entries:
-            key = entry.key_bytes(definition)
-            if key == last_key:
-                continue
-            last_key = key
-            merged.append(entry)
-        return merged
-
-    def _shard_range_query(
-        self,
-        shard_id: int,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-        allow_degraded: bool = True,
-    ) -> List[IndexEntry]:
-        shard = self.shards[shard_id]
-        breaker = self._breakers[shard_id]
-        if breaker is not None:
-            if breaker.state() is BreakerState.OPEN:
+                return shape.serve(shard, args)
+            except StorageBrownout:
+                # The breaker tripped mid-query: answer from the snapshot
+                # pin instead of surfacing the brownout to the client.
                 if not allow_degraded:
-                    raise StorageBrownout(f"shared/shard{shard_id}", 0)
-                return self._degraded_range(
-                    shard, equality_values, sort_lower, sort_upper, query_ts
-                )
-            if shard.degraded:
-                shard.exit_degraded_mode()
-        try:
-            return shard.range_query(
-                equality_values, sort_lower, sort_upper, query_ts
-            )
-        except StorageBrownout:
-            if breaker is None or not allow_degraded:
-                raise
-            return self._degraded_range(
-                shard, equality_values, sort_lower, sort_upper, query_ts
-            )
-
-    def _degraded_range(
-        self,
-        shard: WildfireShard,
-        equality_values: Sequence[KeyValue],
-        sort_lower: Optional[Sequence[KeyValue]],
-        sort_upper: Optional[Sequence[KeyValue]],
-        query_ts: Optional[int],
-    ) -> List[IndexEntry]:
+                    raise
+        elif not allow_degraded:
+            raise StorageBrownout(f"shared/shard{shard_id}", 0)
         shard.enter_degraded_mode()
         self._qos_io.qos.degraded_reads += 1
-        return shard.degraded_range_query(
-            equality_values, sort_lower, sort_upper, query_ts
-        )
+        return shape.degraded(shard, args)
 
-    # -- typed queries through the access-path planner (ISSUE 9) ----------------------
-
-    def query(self, query: Query) -> List[Tuple[KeyValue, ...]]:
-        """Planner-routed typed query across the cluster.
-
-        Routed to one slot when the query's equality predicates bind
-        every sharding-key column; otherwise a scatter-gather over all
-        live shards.  Each shard plans its own access path (its planner
-        sees its own statistics), returns ``(pk, beginTS, row)`` tagged
-        rows, and the gather merges them newest-beginTS-wins per primary
-        key -- exactly what a split-migration double-read needs -- before
-        dropping the tags.  Rows come back sorted by (row values,
-        primary key), identical to :meth:`WildfireShard.query`.
-
-        Typed queries never serve degraded (snapshot-pinned) answers: a
-        browned-out or breaker-open shard is reported in a
-        :class:`PartialResultError` naming it, tagged with the serving
-        epoch, instead of silently narrowing the result.
-        """
-        if self._admission is None:
-            return self._query_inner(query)
-        ticket = self._admission.admit()
-        start = self.sim_now()
-        try:
-            return self._query_inner(query)
-        finally:
-            ticket.finish(self.sim_now() - start)
-
-    def _query_inner(self, query: Query) -> List[Tuple[KeyValue, ...]]:
-        with self._maps.pin() as pin:
-            values = self._query_sharding_values(query)
-            if values is not None:
-                route = pin.map.route_of(self.key_hash(values))
-                reads = route.read_shards(self.key_hash(values))
-                if len(reads) == 1:
-                    tagged = self.shards[reads[0]]._query_tagged(query)
-                    return [row for _, _, row in self._merge_tagged([tagged])]
-                shard_ids = list(reads)
-            else:
-                shard_ids = self._prune_scatter(
-                    list(pin.map.scatter_shards()), query
-                )
-            parts: List[
-                List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]
-            ] = []
-            failed: List[int] = []
-            cause: Optional[BaseException] = None
-            for shard_id in shard_ids:
-                try:
-                    parts.append(self.shards[shard_id]._query_tagged(query))
-                except TransientIOError as exc:
-                    failed.append(shard_id)
-                    cause = exc
-            rows = [row for _, _, row in self._merge_tagged(parts)]
-            if failed:
-                raise PartialResultError(
-                    tuple(failed), tuple(rows), cause, epoch=pin.epoch
-                )
-            return rows
-
-    def _query_sharding_values(
-        self, query: Query
-    ) -> Optional[Tuple[KeyValue, ...]]:
-        """Sharding values when the query equality-binds them all."""
-        bound = dict(query.equalities)
-        try:
-            return tuple(bound[name] for name in self.schema.sharding_key)
-        except KeyError:
-            return None
+    # -- typed scatter pruning ------------------------------------------------------------
 
     def scatter_stats(self) -> Dict[str, int]:
         """Typed scatter-gather pruning counters (ISSUE 10)."""
@@ -1456,32 +990,6 @@ class ShardedTable:
                 except TypeError:
                     continue
         return False
-
-    @staticmethod
-    def _merge_tagged(
-        parts: Sequence[
-            Sequence[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]
-        ],
-    ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
-        """Newest-beginTS-wins per primary key, then the output sort.
-
-        Each shard already deduplicated its own versions; across shards
-        a migration window's double-read may answer the same key from
-        both the source and a successor (copied rows tie on beginTS and
-        are identical; post-cutover writes win by a larger beginTS).
-        """
-        best: Dict[
-            Tuple[KeyValue, ...], Tuple[int, Tuple[KeyValue, ...]]
-        ] = {}
-        for part in parts:
-            for pk, begin_ts, row in part:
-                held = best.get(pk)
-                if held is None or begin_ts > held[0]:
-                    best[pk] = (begin_ts, row)
-        return sorted(
-            ((pk, ts, row) for pk, (ts, row) in best.items()),
-            key=lambda item: (item[2], item[0]),
-        )
 
     # -- observability ----------------------------------------------------------------
 

@@ -49,6 +49,33 @@ from repro.wildfire.transaction import Transaction
 from repro.wildfire.txlog import CommittedLog
 
 
+# A typed query's tagged answer row: ``(primary key, beginTS, row)``.
+TaggedRow = Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]
+
+
+def newest_per_primary_key(
+    parts: Sequence[Sequence[TaggedRow]],
+) -> List[TaggedRow]:
+    """Newest-beginTS-wins per primary key, then the output sort.
+
+    One shard's plan execution can surface several versions of a row
+    (index-only secondary scans); across shards a migration window's
+    double-read may answer the same key from two holders (copied rows
+    tie on beginTS and are identical; post-cutover writes win by a
+    larger beginTS).  Rows come back sorted by (row values, primary key).
+    """
+    best: Dict[Tuple[KeyValue, ...], Tuple[int, Tuple[KeyValue, ...]]] = {}
+    for part in parts:
+        for pk, begin_ts, row in part:
+            held = best.get(pk)
+            if held is None or begin_ts > held[0]:
+                best[pk] = (begin_ts, row)
+    return sorted(
+        ((pk, begin_ts, row) for pk, (begin_ts, row) in best.items()),
+        key=lambda item: (item[2], item[0]),
+    )
+
+
 @dataclass(frozen=True)
 class ShardConfig:
     """Lifecycle cadence and component tunables for one shard.
@@ -620,10 +647,9 @@ class WildfireShard:
         """
         return [row for _, _, row in self._query_tagged(query)]
 
-    def _query_tagged(
-        self, query: Query
-    ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
-        """Execute, returning ``(pk, begin_ts, row)`` triples.
+    def _query_tagged(self, query: Query) -> List[TaggedRow]:
+        """Execute, returning ``(pk, begin_ts, row)`` triples, newest
+        per primary key and sorted by (row values, primary key).
 
         The pk/begin_ts tags let the cluster layer merge scatter-gather
         and split-migration double-reads newest-wins per primary key
@@ -641,9 +667,7 @@ class WildfireShard:
         )
         return self._execute_plan(plan, ts)
 
-    def _execute_plan(
-        self, plan: AccessPlan, ts: int
-    ) -> List[Tuple[Tuple[KeyValue, ...], int, Tuple[KeyValue, ...]]]:
+    def _execute_plan(self, plan: AccessPlan, ts: int) -> List[TaggedRow]:
         index = self.indexes.get(plan.index_name).index
         with self.hierarchy.attributing(f"index:{plan.index_name}"):
             if plan.mode == "point":
@@ -684,15 +708,7 @@ class WildfireShard:
         # Newest-wins dedup per primary key: index-only secondary scans can
         # surface several versions of one row (distinct full entry keys);
         # the newest beginTS is the visible one.
-        best: Dict[Tuple[KeyValue, ...], Tuple[int, Tuple[KeyValue, ...]]] = {}
-        for pk, begin_ts, row in produced:
-            current = best.get(pk)
-            if current is None or begin_ts > current[0]:
-                best[pk] = (begin_ts, row)
-        return sorted(
-            ((pk, begin_ts, row) for pk, (begin_ts, row) in best.items()),
-            key=lambda item: (item[2], item[0]),
-        )
+        return newest_per_primary_key((produced,))
 
     def _check_and_project(self, plan: AccessPlan, records) -> List:
         produced = []
@@ -858,4 +874,9 @@ class WildfireShard:
         }
 
 
-__all__ = ["ShardConfig", "WildfireShard"]
+__all__ = [
+    "ShardConfig",
+    "TaggedRow",
+    "WildfireShard",
+    "newest_per_primary_key",
+]

@@ -1,9 +1,10 @@
 """Online shard merge: the inverse of split (ISSUE 10).
 
 The cluster-facing entry point is
-:meth:`repro.wildfire.cluster.ShardedTable.merge_shards`; this module
-owns the pieces below it.  A merge is a split run backwards over the
-same :class:`~repro.wildfire.shardmap.SlotRoute` machinery:
+:meth:`repro.wildfire.cluster.ShardedTable.merge_shards`, driven by the
+shared split/merge state machine in :mod:`repro.wildfire.migration`;
+this module owns the pieces below it.  A merge is a split run backwards
+over the same :class:`~repro.wildfire.shardmap.SlotRoute` machinery:
 
 * the slot's route flips ``"split" -> "merging"`` at the write cutover
   (the fused target owns all fresh writes; the two old successors stay
@@ -13,8 +14,9 @@ same :class:`~repro.wildfire.shardmap.SlotRoute` machinery:
 * the target's hybrid clock is raised to the component-wise max of both
   successors' clocks (:meth:`HybridClock.ensure_at_least` once per
   source), so no beginTS it will ever mint can collide with history;
-* both successors' post-groomed record blocks are adopted verbatim --
-  the split-time :data:`~repro.wildfire.split.BLOCK_ID_STRIDE` keeps
+* both successors' post-groomed record blocks are adopted verbatim
+  (:func:`~repro.wildfire.split.adopt_post_groomed_blocks`) -- the
+  split-time :data:`~repro.wildfire.split.BLOCK_ID_STRIDE` keeps
   the two sides' post-split block ids disjoint, so the union of ids is
   collision-free and every RID baked into entry blobs stays valid;
 * every index's runs from both sides are interleaved through the same
@@ -32,8 +34,7 @@ object swapped atomically, so no crash can leave a torn map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.wildfire.engine import WildfireShard
 from repro.wildfire.split import ShardCopyStream
@@ -50,66 +51,6 @@ class MergeAborted(MergeError):
     the cluster cannot afford the copy right now.  Nothing has been
     published: routing, data, and clocks are exactly as they were.
     """
-
-
-# Phase order, mirroring the split's.  Everything from "merging" on
-# recovers by rolling forward; "pre_copy" is the only phase that rolls
-# back (to the still-split route).
-MERGE_PHASES = ("pre_copy", "merging", "copied", "published", "done")
-
-
-@dataclass
-class MergeState:
-    """One in-flight (or crashed) merge's progress."""
-
-    left_id: int
-    right_id: int
-    slot: int
-    target_id: int = -1
-    phase: str = "pre_copy"
-    merging_epoch: int = -1
-    final_epoch: int = -1
-    copied_blocks: int = 0
-    copied_entries: int = 0
-    quiesce_grooms: int = 0
-
-    def summary(self) -> dict:
-        return {
-            "sources": (self.left_id, self.right_id),
-            "target": self.target_id,
-            "phase": self.phase,
-            "merging_epoch": self.merging_epoch,
-            "final_epoch": self.final_epoch,
-            "copied_blocks": self.copied_blocks,
-            "copied_entries": self.copied_entries,
-            "quiesce_grooms": self.quiesce_grooms,
-        }
-
-
-def adopt_all_blocks(
-    sources: Tuple[WildfireShard, WildfireShard], target: WildfireShard
-) -> int:
-    """Adopt both sources' post-groomed record blocks into the target.
-
-    Ids are disjoint across the two sides by construction (shared
-    pre-split ids carry byte-identical payloads and dedup on adoption;
-    post-split ids are separated by the split-time stride), so the union
-    is collision-free.  The endTS overlays union too --
-    ``adopt_post_groomed`` merges the passed overlay unconditionally,
-    and an RID's endTS is written at most once in its lifetime (a row
-    version is superseded once), so the two sides can never disagree on
-    a shared RID.  Idempotent; returns blocks copied this call.
-    """
-    copied = 0
-    for source in sources:
-        copied += len(
-            target.catalog.adopt_post_groomed(
-                source.catalog,
-                source.catalog.live_post_groomed_ids(),
-                source.catalog.export_end_ts_overlay(),
-            )
-        )
-    return copied
 
 
 def merge_copy_stream(
@@ -133,25 +74,8 @@ def merge_copy_stream(
     )
 
 
-def interleave_runs(
-    sources: Tuple[WildfireShard, WildfireShard], target: WildfireShard
-) -> int:
-    """Run a full merge copy synchronously (the non-pumped path).
-
-    Sources must be quiesced (post-groomed zones only).  Idempotent per
-    index (a target that already holds its copied run is skipped), so
-    crash replays never duplicate entries.  Returns entries copied this
-    call.
-    """
-    return merge_copy_stream(sources, target).run_all()
-
-
 __all__ = [
-    "MERGE_PHASES",
     "MergeAborted",
     "MergeError",
-    "MergeState",
-    "adopt_all_blocks",
-    "interleave_runs",
     "merge_copy_stream",
 ]

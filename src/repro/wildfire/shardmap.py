@@ -146,21 +146,11 @@ class ShardMap:
     epoch: int
     slots: Tuple[SlotRoute, ...]
 
-    @property
-    def num_slots(self) -> int:
-        return len(self.slots)
-
-    def slot_of(self, key_hash: int) -> int:
-        return key_hash % len(self.slots)
-
     def route_of(self, key_hash: int) -> SlotRoute:
         return self.slots[key_hash % len(self.slots)]
 
     def write_shard(self, key_hash: int) -> int:
         return self.route_of(key_hash).write_shard(key_hash)
-
-    def read_shards(self, key_hash: int) -> Tuple[int, ...]:
-        return self.route_of(key_hash).read_shards(key_hash)
 
     def scatter_shards(self) -> Tuple[int, ...]:
         """Union of every slot's possible holders, first-seen order."""

@@ -1,17 +1,10 @@
-"""Online shard split: state machine and zero-decode data movement (ISSUE 8).
+"""Online shard split: zero-decode data movement.
 
 The cluster-facing entry point is
-:meth:`repro.wildfire.cluster.ShardedTable.split_shard`; this module owns
-the pieces below it:
+:meth:`repro.wildfire.cluster.ShardedTable.split_shard`, driven by the
+shared split/merge state machine in :mod:`repro.wildfire.migration`;
+this module owns the pieces below it:
 
-* :class:`SplitState` -- the in-memory phase machine a split advances
-  through.  Phases are ordered so that a crash at any of the four named
-  crash points (``split.pre_copy`` / ``mid_copy`` / ``pre_publish`` /
-  ``post_publish``) recovers deterministically: a crash before anything
-  is published rolls back to fully-old routing; a crash any time after
-  the write cutover rolls *forward* to fully-new routing.  Because the
-  routing map itself is an immutable object swapped atomically, no crash
-  can leave a torn map.
 * :func:`copy_post_groomed_blocks` -- verbatim record-block transfer
   (same ids, same namespaces, same bytes) so the RIDs baked into entry
   blobs stay valid on the successors.
@@ -25,7 +18,7 @@ the pieces below it:
   stream is pulled in ``step(budget)`` slices so a split/merge pump can
   interleave the copy with live traffic; pulling everything in one call
   reproduces the original synchronous copy byte for byte.
-* :func:`partition_runs` -- the run-to-completion split copy over a
+* :func:`split_copy_stream` -- the split's copy over a
   :class:`ShardCopyStream`: per-index partition passes route every pair
   by hashing the *record's sharding key* straight out of the sort key.
   Secondaries always carry the full primary key (and therefore the
@@ -42,7 +35,6 @@ rebuilt), which is what makes the roll-forward recovery replays safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.entry import Zone
@@ -96,44 +88,11 @@ class SplitUnsupported(SplitAborted):
         )
 
 
-# Phase order.  Everything from "migrating" on recovers by rolling
-# forward; "pre_copy" is the only phase that rolls back.
-PHASES = ("pre_copy", "migrating", "copied", "published", "done")
-
-
-@dataclass
-class SplitState:
-    """One in-flight (or crashed) split's progress."""
-
-    source_id: int
-    slot: int
-    left_id: int = -1
-    right_id: int = -1
-    phase: str = "pre_copy"
-    migrating_epoch: int = -1
-    final_epoch: int = -1
-    copied_blocks: int = 0
-    copied_entries: int = 0
-    quiesce_grooms: int = 0
-
-    def summary(self) -> dict:
-        return {
-            "source": self.source_id,
-            "successors": (self.left_id, self.right_id),
-            "phase": self.phase,
-            "migrating_epoch": self.migrating_epoch,
-            "final_epoch": self.final_epoch,
-            "copied_blocks": self.copied_blocks,
-            "copied_entries": self.copied_entries,
-            "quiesce_grooms": self.quiesce_grooms,
-        }
-
-
 # Gap left between the two successors' post-groomed block id allocators
 # at split time.  The left successor stays dense at the source's
 # watermark; the right one starts this far above it.  Blocks written
 # after the split therefore never collide by id between the two sides,
-# which is what lets :func:`repro.wildfire.merge.adopt_all_blocks` copy
+# which is what lets :func:`adopt_post_groomed_blocks` copy
 # both sides' blocks verbatim into one catalog.  A shard would need to
 # post-groom over a million record blocks between a split and the next
 # split of the same slot (impossible: the slot must be merged back to a
@@ -141,25 +100,44 @@ class SplitState:
 BLOCK_ID_STRIDE = 1 << 20
 
 
+def adopt_post_groomed_blocks(
+    sources: Sequence[WildfireShard], destinations: Sequence[WildfireShard]
+) -> int:
+    """Adopt every source's post-groomed record blocks into every destination.
+
+    Each destination receives *every* block: record blocks are addressed
+    by RID from entry blobs, and a destination's entry subset may
+    reference any of them.  Ids never collide across sources (shared
+    pre-split ids carry byte-identical payloads and dedup on adoption;
+    post-split ids are separated by :data:`BLOCK_ID_STRIDE`), and the
+    endTS overlays union safely: an RID's endTS is written at most once
+    in its lifetime, so two sources never disagree on a shared RID.
+    Idempotent; returns blocks copied this call.
+    """
+    copied = 0
+    for destination in destinations:
+        for source in sources:
+            copied += len(
+                destination.catalog.adopt_post_groomed(
+                    source.catalog,
+                    source.catalog.live_post_groomed_ids(),
+                    source.catalog.export_end_ts_overlay(),
+                )
+            )
+    return copied
+
+
 def copy_post_groomed_blocks(
     source: WildfireShard, successors: Tuple[WildfireShard, WildfireShard]
 ) -> int:
     """Transfer the source's post-groomed record blocks to both successors.
 
-    Both successors receive *every* block: record blocks are addressed by
-    RID from entry blobs, and each successor's entry subset may reference
-    any block.  The second successor's block allocator is strided above
-    the adopted watermark (see :data:`BLOCK_ID_STRIDE`) so post-split
-    writes on the two sides can never mint the same block id.
-    Idempotent; returns blocks copied this call.
+    The second successor's block allocator is strided above the adopted
+    watermark (see :data:`BLOCK_ID_STRIDE`) so post-split writes on the
+    two sides can never mint the same block id.  Idempotent; returns
+    blocks copied this call.
     """
-    block_ids = source.catalog.live_post_groomed_ids()
-    overlay = source.catalog.export_end_ts_overlay()
-    copied = 0
-    for successor in successors:
-        copied += len(
-            successor.catalog.adopt_post_groomed(source.catalog, block_ids, overlay)
-        )
+    copied = adopt_post_groomed_blocks((source,), successors)
     successors[1].catalog.ensure_post_groomed_floor(
         source.catalog.max_post_groomed_id + 1 + BLOCK_ID_STRIDE
     )
@@ -331,11 +309,6 @@ class ShardCopyStream:
             self._finish_pass()
         return pulled
 
-    def run_all(self) -> int:
-        """Drain the whole stream synchronously; returns entries copied."""
-        self.step(budget=None)
-        return self.copied_entries
-
     def abort(self) -> None:
         """Drop pins without building anything (crash/teardown path)."""
         self._release_pins()
@@ -351,6 +324,10 @@ def split_copy_stream(
 ) -> ShardCopyStream:
     """A :class:`ShardCopyStream` partitioning one source between two
     successors by the record's sharding-key hash bit (per-index passes).
+
+    The source must be quiesced (post-groomed zones only); identical
+    sort keys dedup to the newest copy, exactly as evolve/merge do.  The
+    ``split.mid_copy`` crash point sits between the two primary builds.
     """
 
     def bucket_of(index_name: str, sort_key: bytes) -> int:
@@ -365,38 +342,15 @@ def split_copy_stream(
     )
 
 
-def partition_runs(
-    source: WildfireShard,
-    left: WildfireShard,
-    right: WildfireShard,
-    slicers: Dict[str, ShardingKeySlicer],
-) -> int:
-    """Run a full split copy synchronously (the non-pumped path).
-
-    The source must be quiesced (post-groomed zones only).  Streams each
-    index's newest-first run stack through the zero-decode blob merge
-    (identical sort keys dedup to the newest copy, exactly as
-    evolve/merge do), partitions each raw pair by the sharding-key hash
-    bit, and builds at most one post-groomed run per successor per index
-    with a union synopsis.  The ``split.mid_copy`` crash point sits
-    between the two primary-index builds.  Idempotent per successor per
-    index, so crash replays never duplicate entries.  Returns the number
-    of entries copied this call.
-    """
-    return split_copy_stream(source, left, right, slicers).run_all()
-
-
 __all__ = [
     "BLOCK_ID_STRIDE",
-    "PHASES",
     "ShardCopyStream",
     "SplitAborted",
     "SplitError",
-    "SplitState",
     "SplitUnsupported",
+    "adopt_post_groomed_blocks",
     "copy_post_groomed_blocks",
     "index_slicers",
-    "partition_runs",
     "split_copy_stream",
     "successor_side",
 ]

@@ -19,7 +19,7 @@ from repro.planner import Query
 from repro.qos.errors import PartialResultError
 from repro.storage.retry import TransientIOError
 from repro.wildfire.cluster import ShardedTable
-from repro.wildfire.engine import ShardConfig
+from repro.wildfire.engine import ShardConfig, newest_per_primary_key
 from repro.wildfire.schema import IndexSpec, TableSchema
 from repro.wildfire.split import SplitAborted, SplitUnsupported
 
@@ -333,7 +333,7 @@ class TestTypedQueriesAcrossSplit:
             [((1,), 20, ("new",)), ((3,), 7, ("c",))],
             [((1,), 20, ("new",))],  # byte-identical double-read copy
         ]
-        merged = ShardedTable._merge_tagged(parts)
+        merged = newest_per_primary_key(parts)
         assert merged == sorted(
             [((2,), 5, ("b",)), ((3,), 7, ("c",)), ((1,), 20, ("new",))],
             key=lambda item: (item[2], item[0]),

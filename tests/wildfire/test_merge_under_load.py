@@ -22,9 +22,13 @@ import threading
 import pytest
 
 from repro.core.definition import ColumnSpec
+from repro.faults.crash import SimulatedCrash, install_crash_schedule
+from repro.faults.plan import FaultPlan
 from repro.wildfire.cluster import ShardedTable
 from repro.wildfire.engine import ShardConfig
+from repro.wildfire.merge import MergeError
 from repro.wildfire.schema import IndexSpec, TableSchema
+from repro.wildfire.split import SplitError
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -176,3 +180,43 @@ class TestMergeUnderLoad:
         assert stats.pins_entered == stats.pins_exited
         assert stats.versions_published == 5  # initial + 2 cutovers + 2 finals
         assert stats.versions_reclaimed == 4
+
+
+class TestParkedMergeIsolation:
+    def test_split_controls_leave_a_parked_merge_alone(self):
+        table = make_table(num_shards=2)
+        table.ingest(
+            [(d, m, expected(d, m)) for d in range(DEVICES) for m in range(MSGS)]
+        )
+        table.run_cycles(4)
+        left, right = table.split_shard(0)["successors"]
+        plan = FaultPlan(
+            seed=0, crash_triggers={"merge.mid_copy": frozenset({1})}
+        )
+        with install_crash_schedule(plan.crash_schedule()):
+            with pytest.raises(SimulatedCrash):
+                table.merge_shards(left, right)
+        parked_epoch = table.routing_epoch()
+
+        # The split controls see no split in flight and touch nothing.
+        assert table.recover_split() == {
+            "resumed": False, "epoch": parked_epoch,
+        }
+        with pytest.raises(SplitError):
+            table.split_step()
+        with pytest.raises(MergeError):
+            table.split_shard(1)
+        assert table.routing_epoch() == parked_epoch
+
+        outcome = table.recover_merge()
+        assert outcome["outcome"] == "rolled_forward"
+        assert outcome["phase"] == "done"
+        assert table.routing_epoch() == parked_epoch + 1
+        assert table.recover_merge() == {
+            "resumed": False, "epoch": parked_epoch + 1,
+        }
+        for d in range(DEVICES):
+            for m in range(MSGS):
+                assert table.point_query((d,), (m,)).values == (
+                    d, m, expected(d, m),
+                )

@@ -19,6 +19,7 @@ import pytest
 from repro.core.definition import ColumnSpec
 from repro.faults.crash import SimulatedCrash, install_crash_schedule
 from repro.faults.plan import FaultPlan
+from repro.planner import Query
 from repro.faults.storage import FaultyTier
 from repro.qos.admission import QosConfig
 from repro.qos.breaker import BreakerConfig, BreakerState
@@ -171,3 +172,62 @@ class TestPartialResultsInWindow:
         record = table.point_query((device,), (1,))
         assert record is not None and record.values == (device, 1, device * 10)
         assert table.qos_stats().degraded_reads > 0
+
+
+class TestMergeWindowPartials:
+    """The merge's fused target owns fresh writes: it never degrades."""
+
+    def crash_into_merge_window(self, table):
+        """Split shard 0, then park its merge back: copied, unpublished."""
+        left, right = table.split_shard(0)["successors"]
+        plan = FaultPlan(
+            seed=0, crash_triggers={"merge.pre_publish": frozenset({1})}
+        )
+        with install_crash_schedule(plan.crash_schedule()):
+            with pytest.raises(SimulatedCrash):
+                table.merge_shards(left, right)
+        route = table.maps.current.route_of(table.key_hash((0,)))
+        assert route.state == "merging"
+        return route.primary
+
+    def test_fused_target_brownout_surfaces_epoch_tagged_partial(self):
+        table = make_qos_table()
+        warm(table)
+        target = self.crash_into_merge_window(table)
+        merging_epoch = table.routing_epoch()
+        assert merging_epoch == 3  # split cutover, split final, merge cutover
+        trip(table.breaker(target))
+
+        with pytest.raises(PartialResultError) as exc_info:
+            table.point_query((0,), (1,))
+        assert exc_info.value.failed_shards == (target,)
+        assert exc_info.value.epoch == merging_epoch
+        # The old successor's authoritative answer rode along.
+        assert [r.values for r in exc_info.value.partial] == [(0, 1, 0)]
+
+        with pytest.raises(PartialResultError) as exc_info:
+            table.range_query((0,))
+        assert exc_info.value.failed_shards == (target,)
+        assert exc_info.value.epoch == merging_epoch
+        assert table.qos_stats().degraded_reads == 0
+
+
+class TestTypedReadsSkipBreakerPrecheck:
+    def test_typed_query_answers_from_local_tiers_point_degrades(self):
+        table = make_qos_table()
+        warm(table)
+        query = Query(equalities=(("device", 3),))
+        expected = table.query(query)  # also warms the local tiers
+        assert expected == [(3, 1, 30)]
+        trip(table.breaker(0))
+
+        # Typed reads never degrade and skip the cluster's breaker
+        # pre-check: the warm shard answers from its local tiers.
+        assert table.query(query) == expected
+        assert table.qos_stats().degraded_reads == 0
+
+        # A point read on the same shard sees the open breaker and
+        # degrades to the pinned snapshot.
+        record = table.point_query((3,), (1,))
+        assert record is not None and record.values == (3, 1, 30)
+        assert table.qos_stats().degraded_reads == 1
